@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -122,10 +121,10 @@ def mel_spectrogram(clip: AudioClip) -> MelSpectrogram:
     return MelSpectrogram(values=mel)
 
 
-def write_mel_csv(spec: MelSpectrogram, path) -> None:
-    """Dump a spectrogram as plain CSV, one band per row."""
+def mel_csv_text(spec: MelSpectrogram) -> str:
+    """The spectrogram as plain CSV, one band per row, 9-decimal values."""
     lines = [",".join(f"{v:.9f}" for v in row) for row in spec.values]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
 
 
 def patch_token_count(frame_count: int, kernel: int, stride: int) -> int:

@@ -1,88 +1,22 @@
 """Command-line front end wiring the pipeline end to end.
 
-Every command is deterministic for a given flag set, output files are
-written via temp-file-plus-rename so failures never leave partial output,
-and failures exit with a stable per-category code (see EXIT_CODES).
+Every command is deterministic for a given flag set. Output files get their
+text from the one formatter each artifact has and are written through
+``ingest._atomic_write_text`` (temp file plus rename), so failures never leave
+partial output. A failure exits with the ``exit_code`` of its error's stage
+class in ``keysched.errors``; an OSError exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
-from pathlib import Path
 
 from . import audiofeat, evaluate, flow, ingest, motion, schedule, selection
-from .errors import (
-    BadGeometryError,
-    BadIntervalError,
-    CountMismatchError,
-    DimensionMismatchError,
-    EmptyDirectoryError,
-    InconsistentExtremaError,
-    IndexOutOfRangeError,
-    InvalidKError,
-    InvariantViolationError,
-    KernelTooLargeError,
-    KeyschedError,
-    MalformedPgmError,
-    NoValidInstancesError,
-    NotDivisibleByThreeError,
-    OddDimError,
-    ParseError,
-    ShapeMismatchError,
-    TooShortError,
-    TooSmallError,
-    UnsupportedChannelsError,
-    UnsupportedEncodingError,
-    UnsupportedRateError,
-    WrongSampleRateError,
-)
+from .errors import STAGE_ERRORS, IngestError, KeyschedError
+from .ingest import _atomic_write_text
 from .plot import PlotSpec, render_plot
-
-EXIT_CODES = {
-    "ingestion or serialization failure": 2,
-    "optical flow failure": 3,
-    "invalid keyframe count": 4,
-    "audio feature failure": 5,
-    "layout geometry failure": 6,
-    "evaluation failure": 7,
-}
-
-_ERROR_EXIT = [
-    ((EmptyDirectoryError, MalformedPgmError, DimensionMismatchError,
-      UnsupportedEncodingError, UnsupportedChannelsError, UnsupportedRateError,
-      ParseError, InvariantViolationError, OSError), 2),
-    ((TooSmallError, TooShortError), 3),
-    ((InvalidKError, InconsistentExtremaError, BadIntervalError), 4),
-    ((WrongSampleRateError, KernelTooLargeError, ShapeMismatchError,
-      IndexOutOfRangeError), 5),
-    ((CountMismatchError, BadGeometryError, OddDimError), 6),
-    ((NoValidInstancesError, NotDivisibleByThreeError), 7),
-]
-
-
-def _exit_code(exc: Exception) -> int:
-    for types, code in _ERROR_EXIT:
-        if isinstance(exc, types):
-            return code
-    return 1
-
-
-def _atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _workers() -> int:
@@ -102,9 +36,7 @@ def cmd_score(args) -> int:
     curve = flow.motion_curve(
         seq, flow.FlowParams(), normalize=args.normalize, workers=_workers()
     )
-    lines = [ingest.CSV_HEADER]
-    lines.extend(f"{i},{v:.9f}" for i, v in enumerate(curve.values))
-    _atomic_write_text(args.out, "\n".join(lines) + "\n")
+    _atomic_write_text(args.out, ingest.scores_csv_text(curve))
     return 0
 
 
@@ -117,17 +49,14 @@ def cmd_select(args) -> int:
         seed=args.seed,
     )
     sched = selection.select_keyframes(curve, extrema, params)
-    text = json.dumps(ingest.schedule_to_dict(sched), sort_keys=True, indent=2,
-                      allow_nan=False)
-    _atomic_write_text(args.out, text + "\n")
+    _atomic_write_text(args.out, ingest.json_text(ingest.schedule_to_dict(sched)))
     return 0
 
 
 def cmd_spectrogram(args) -> int:
     clip = ingest.load_wav(args.wav, strict_rate=True)
     spec = audiofeat.mel_spectrogram(clip)
-    lines = [",".join(f"{v:.9f}" for v in row) for row in spec.values]
-    _atomic_write_text(args.out, "\n".join(lines) + "\n")
+    _atomic_write_text(args.out, audiofeat.mel_csv_text(spec))
     return 0
 
 
@@ -138,7 +67,7 @@ def cmd_patches(args) -> int:
 
 def cmd_windows(args) -> int:
     plan = schedule.freenoise_windows(args.frames, args.window, args.stride)
-    text = json.dumps(plan.to_dict(), sort_keys=True, indent=2) + "\n"
+    text = ingest.json_text(plan.to_dict())
     if args.out:
         _atomic_write_text(args.out, text)
     else:
@@ -164,12 +93,12 @@ def cmd_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    codes = "; ".join(f"{code}: {reason}" for reason, code in EXIT_CODES.items())
+    codes = "; ".join(f"{e.exit_code}: {e.summary}" for e in (KeyschedError, *STAGE_ERRORS))
     parser = argparse.ArgumentParser(
         prog="keysched",
         description="Motion scoring, keyframe selection, and schedule tooling "
                     "for audio-driven video generation pipelines.",
-        epilog=f"Exit codes - 0: success; 1: unexpected failure; {codes}. "
+        epilog=f"Exit codes - 0: success; {codes}. "
                "KEYSCHED_THREADS caps internal parallelism.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -235,7 +164,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (KeyschedError, OSError) as exc:
         print(f"keysched {args.command}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code if isinstance(exc, KeyschedError) else IngestError.exit_code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .errors import (
     NoValidInstancesError,
     ParseError,
 )
+from .ingest import _read_text
 
 
 @dataclass
@@ -121,7 +122,7 @@ def _parse_index_list(token: str, label: str, line_no: int) -> list[int]:
 def read_keypoint_instances(path: str | Path) -> list[KeypointInstance]:
     """Parse instance lines of the form ``gt:i1;i2 pred:j1;j2``."""
     instances = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="ascii").splitlines()):
+    for line_no, line in enumerate(_read_text(path, "ascii").splitlines()):
         if not line.strip():
             continue
         parts = line.split()

@@ -2,12 +2,14 @@
 
 Frames arrive as binary PGM (P5, maxval 255), audio as RIFF/WAVE PCM16 mono.
 Motion curves round-trip through ``index,score`` CSV and keyframe schedules
-through a small JSON schema; both writers emit byte-stable output.
+through a small JSON schema. Each text artifact has one formatter that emits
+byte-stable output, and every text file is written by ``_atomic_write_text``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,21 +212,61 @@ def write_wav(clip: AudioClip, path: str | Path) -> None:
     Path(path).write_bytes(header + body)
 
 
+# --- text files ---
+
+def _atomic_write_text(path: str | Path, text: str) -> None:
+    """Write via a uniquely named temp file beside the target, then rename.
+
+    A failed write removes the temp file and leaves the target untouched. The
+    temp file is created with mode 0666, so the result honours the umask as a
+    plain ``open`` would.
+    """
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _read_text(path: str | Path, encoding: str) -> str:
+    """Read a text file; bytes the encoding rejects raise ParseError."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def json_text(obj) -> str:
+    """Byte-stable JSON: sorted keys, 2-space indent, no NaN, final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 # --- scores CSV ---
 
 CSV_HEADER = "index,score"
 
 
-def write_scores_csv(curve: MotionCurve, path: str | Path) -> None:
-    """Write one ``index,score`` row per frame with 9-decimal scores."""
+def scores_csv_text(curve: MotionCurve) -> str:
+    """One ``index,score`` row per frame with 9-decimal scores."""
     lines = [CSV_HEADER]
     lines.extend(f"{i},{v:.9f}" for i, v in enumerate(curve.values))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
+
+
+def write_scores_csv(curve: MotionCurve, path: str | Path) -> None:
+    """Write ``scores_csv_text(curve)`` to ``path`` atomically."""
+    _atomic_write_text(path, scores_csv_text(curve))
 
 
 def read_scores_csv(path: str | Path) -> MotionCurve:
     """Read a scores CSV back into a raw-stage MotionCurve."""
-    text = Path(path).read_text(encoding="ascii")
+    text = _read_text(path, "ascii")
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"{path}: missing '{CSV_HEADER}' header row")
@@ -259,15 +301,15 @@ def schedule_to_dict(schedule: KeyframeSchedule) -> dict:
 
 
 def write_schedule_json(schedule: KeyframeSchedule, path: str | Path) -> None:
-    text = json.dumps(schedule_to_dict(schedule), sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Write the schedule's JSON to ``path`` atomically."""
+    _atomic_write_text(path, json_text(schedule_to_dict(schedule)))
 
 
 def read_schedule_json(path: str | Path) -> KeyframeSchedule:
     """Read a schedule JSON, re-validating every schedule invariant."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        obj = json.loads(_read_text(path, "utf-8"))
+    except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")

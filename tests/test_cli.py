@@ -1,11 +1,13 @@
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from keysched import ingest
+from keysched import audiofeat, cli, errors, flow, ingest, motion, selection
 from keysched.cli import main
+from keysched.motion import MotionCurve
 
 
 def run(argv):
@@ -178,3 +180,125 @@ class TestDeterminism:
                         "--out", svg]) == 0
             outs.append((scores.read_bytes(), sched.read_bytes(), svg.read_bytes()))
         assert outs[0] == outs[1]
+
+
+# The CLI's exit status for every leaf error class, plus OSError.
+EXPECTED_EXIT = {
+    "EmptyDirectoryError": 2, "MalformedPgmError": 2, "DimensionMismatchError": 2,
+    "UnsupportedEncodingError": 2, "UnsupportedChannelsError": 2,
+    "UnsupportedRateError": 2, "ParseError": 2, "InvariantViolationError": 2,
+    "OSError": 2,
+    "TooSmallError": 3, "TooShortError": 3,
+    "InvalidKError": 4, "InconsistentExtremaError": 4, "BadIntervalError": 4,
+    "WrongSampleRateError": 5, "KernelTooLargeError": 5, "ShapeMismatchError": 5,
+    "IndexOutOfRangeError": 5,
+    "CountMismatchError": 6, "BadGeometryError": 6, "OddDimError": 6,
+    "NoValidInstancesError": 7, "NotDivisibleByThreeError": 7,
+    "InvalidWindowError": 1, "NotNormalizedError": 1,
+}
+
+
+class TestExitCodes:
+    def test_every_leaf_error_is_pinned(self):
+        leaves = {
+            name for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.KeyschedError)
+            and not obj.__subclasses__()
+        }
+        assert leaves == set(EXPECTED_EXIT) - {"OSError"}
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_EXIT))
+    def test_error_maps_to_code(self, name, monkeypatch, capsys):
+        exc_type = OSError if name == "OSError" else getattr(errors, name)
+
+        def failing_command(args):
+            raise exc_type("stub failure")
+
+        monkeypatch.setattr(cli, "cmd_patches", failing_command)
+        assert run(["patches", "--t-a", "196", "--stride", "4"]) == EXPECTED_EXIT[name]
+        assert "keysched patches: stub failure" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    @pytest.fixture
+    def bad_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"index,score\n0,0.5\xe9\n")
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--scores", "{bad}", "--out", "{out}"],
+        ["plot", "--scores", "{bad}", "--out", "{out}"],
+        ["eval-ap", "--instances", "{bad}", "--t", "3"],
+    ])
+    def test_exits_2_without_output(self, argv, bad_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [a.format(bad=bad_file, out=out) for a in argv]
+        assert run(argv) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"keysched {argv[0]}:" in captured.err
+
+    def test_plot_with_undecodable_schedule_exits_2(self, bad_file, tmp_path):
+        scores = tmp_path / "scores.csv"
+        ingest.write_scores_csv(MotionCurve(np.linspace(0.0, 1.0, 8)), scores)
+        out = tmp_path / "c.svg"
+        assert run(["plot", "--scores", scores, "--schedule", bad_file,
+                    "--out", out]) == 2
+        assert not out.exists()
+
+
+class TestOutputFiles:
+    def test_outputs_honour_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            out = tmp_path / "plan.json"
+            assert run(["windows", "--frames", "48", "--out", out]) == 0
+            lib = tmp_path / "scores.csv"
+            ingest.write_scores_csv(MotionCurve(np.ones(4)), lib)
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o644
+        assert lib.stat().st_mode & 0o777 == 0o644
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json", "scores.csv"]
+
+    def test_failed_write_keeps_target_and_removes_temp_file(self, tmp_path):
+        out = tmp_path / "out.txt"
+        ingest._atomic_write_text(out, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            ingest._atomic_write_text(out, "new \ud800\n")
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+
+class TestCliMatchesLibrary:
+    def test_score_matches_write_scores_csv(self, pgm_dir, tmp_path):
+        out = tmp_path / "cli.csv"
+        assert run(["score", "--frames", pgm_dir, "--normalize", "--out", out]) == 0
+        seq = ingest.load_frame_sequence(pgm_dir)
+        lib = tmp_path / "lib.csv"
+        ingest.write_scores_csv(flow.motion_curve(seq, flow.FlowParams()), lib)
+        assert out.read_bytes() == lib.read_bytes()
+
+    def test_select_matches_write_schedule_json(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        ingest.write_scores_csv(MotionCurve(np.random.default_rng(11).random(96)), scores)
+        out = tmp_path / "cli.json"
+        assert run(["select", "--scores", scores, "--k", "10", "--out", out]) == 0
+        curve = motion.normalize(motion.smooth(ingest.read_scores_csv(scores),
+                                               motion.DEFAULT_SMOOTH_WINDOW))
+        sched = selection.select_keyframes(curve, motion.detect_extrema(curve),
+                                           selection.SelectionParams(target_count=10))
+        lib = tmp_path / "lib.json"
+        ingest.write_schedule_json(sched, lib)
+        assert out.read_bytes() == lib.read_bytes()
+
+    def test_spectrogram_matches_mel_formatter(self, tmp_path):
+        wav = tmp_path / "noise.wav"
+        rng = np.random.default_rng(3)
+        ingest.write_wav(ingest.AudioClip(samples=rng.uniform(-0.5, 0.5, 20000)), wav)
+        out = tmp_path / "mel.csv"
+        assert run(["spectrogram", "--wav", wav, "--out", out]) == 0
+        spec = audiofeat.mel_spectrogram(ingest.load_wav(wav))
+        assert out.read_bytes() == audiofeat.mel_csv_text(spec).encode("ascii")
