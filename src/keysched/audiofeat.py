@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ClipTooShortError,
     IndexOutOfRangeError,
     InvariantViolationError,
     KernelTooLargeError,
     ShapeMismatchError,
-    TooShortError,
     WrongSampleRateError,
 )
 from .ingest import AudioClip, PIPELINE_SAMPLE_RATE
@@ -106,7 +106,7 @@ def mel_spectrogram(clip: AudioClip) -> MelSpectrogram:
         )
     samples = clip.samples
     if samples.size < WINDOW_SIZE:
-        raise TooShortError(f"need >= {WINDOW_SIZE} samples, got {samples.size}")
+        raise ClipTooShortError(f"need >= {WINDOW_SIZE} samples, got {samples.size}")
     n_frames = (samples.size - WINDOW_SIZE) // HOP_SIZE + 1
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SIZE) / WINDOW_SIZE)
     starts = np.arange(n_frames) * HOP_SIZE

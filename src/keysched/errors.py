@@ -84,7 +84,7 @@ class TooSmallError(FlowError):
 
 
 class TooShortError(FlowError):
-    """Sequence or clip shorter than the operation requires."""
+    """Frame sequence has fewer than two frames."""
 
 
 # Curve-processing errors belong to no stage, so they exit 1.
@@ -111,6 +111,10 @@ class InconsistentExtremaError(SelectionError):
 
 class WrongSampleRateError(AudioError):
     """Audio clip is not at the pipeline sample rate."""
+
+
+class ClipTooShortError(AudioError):
+    """Audio clip is shorter than one STFT window."""
 
 
 class KernelTooLargeError(AudioError):

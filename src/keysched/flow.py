@@ -116,9 +116,7 @@ def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
 def _resize_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     h, w = shape
     sh, sw = img.shape
-    ys = np.linspace(0.0, sh - 1.0, h) if h > 1 else np.zeros(1)
-    xs = np.linspace(0.0, sw - 1.0, w) if w > 1 else np.zeros(1)
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = np.meshgrid(np.linspace(0.0, sw - 1.0, w), np.linspace(0.0, sh - 1.0, h))
     return _bilinear_sample(img, gx, gy)
 
 

@@ -1,7 +1,7 @@
 """Motion-curve conditioning and extrema detection.
 
 smooth(): centered moving average with boundary truncation.
-normalize(): per-clip min-max scaling to [0, 1].
+normalize(): per-clip min-max scaling to [0, 1]; a range below FLAT_RANGE is flat.
 detect_peaks() / detect_valleys(): local extrema filtered by topographic
 prominence and a minimum inter-peak distance.
 peak_prominences(): prominence lookup used by downstream peak ranking.
@@ -24,6 +24,12 @@ _STAGES = (STAGE_RAW, STAGE_SMOOTHED, STAGE_NORMALIZED)
 DEFAULT_SMOOTH_WINDOW = 5
 DEFAULT_MIN_DISTANCE = 5
 DEFAULT_MIN_PROMINENCE = 0.1
+# A curve whose max - min is below this counts as flat. Min-max scaling would
+# stretch a range of a few subnormals to [0, 1] and invent extrema that the
+# same curve plus an offset, which rounds to a constant, does not have. The
+# floor sits three decades under the 1e-9 resolution of a scores CSV, so no
+# non-constant curve read from one is flat.
+FLAT_RANGE = 1e-12
 
 
 @dataclass
@@ -89,11 +95,11 @@ def smooth(curve: MotionCurve, window: int = DEFAULT_SMOOTH_WINDOW) -> MotionCur
 
 
 def normalize(curve: MotionCurve) -> MotionCurve:
-    """Min-max scale to [0, 1]; a constant curve maps to all zeros."""
+    """Min-max scale to [0, 1]; a flat curve (range below FLAT_RANGE) maps to all zeros."""
     x = curve.values
     lo = float(x.min())
     hi = float(x.max())
-    if hi == lo:
+    if hi - lo < FLAT_RANGE:
         return MotionCurve(np.zeros_like(x), stage=STAGE_NORMALIZED)
     return MotionCurve((x - lo) / (hi - lo), stage=STAGE_NORMALIZED)
 

@@ -133,9 +133,7 @@ def freenoise_windows(total_frames: int, window: int = FREENOISE_WINDOW,
         windows.append((start, start + window))
         start += stride
     if windows[-1][1] != total_frames:
-        clamped = (total_frames - window, total_frames)
-        if clamped != windows[-1]:
-            windows.append(clamped)
+        windows.append((total_frames - window, total_frames))
     return WindowPlan(total_frames=total_frames, window=window, stride=stride, windows=windows)
 
 

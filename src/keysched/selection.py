@@ -3,8 +3,10 @@ topped up by proportional fill over the remaining gaps.
 
 The fill stage apportions the remaining budget across gaps between already
 selected frames with the largest-remainder method (gap weight = interior
-frame count) and spreads each gap's share evenly inside it. All rounding is
-half away from zero so schedules are bit-identical across platforms.
+frame count) and spreads each gap's share evenly inside it. The budget is
+always below the total interior count, so no gap gets more indices than it
+has interior frames and the spacing is at least one frame: fill indices
+round half up and never collide with each other or with a selected frame.
 """
 
 from __future__ import annotations
@@ -72,12 +74,6 @@ class SelectionParams:
             raise InvariantViolationError(f"unknown selection mode {self.mode!r}")
 
 
-def _round_half_away(x: float) -> int:
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return int(math.ceil(x - 0.5))
-
-
 def _splitmix64(state: int):
     """SplitMix64 step: returns (next state, 64-bit output)."""
     state = (state + 0x9E3779B97F4A7C15) & _MASK64
@@ -143,58 +139,26 @@ def _largest_remainder(weights: list[int], total: int) -> list[int]:
     """Integer allocation proportional to ``weights`` summing to ``total``.
 
     Floors the ideal shares and hands the remainder to the largest fractional
-    parts (ties toward the lower slot index). Each slot is capped at its
-    weight; overflow moves to the slot with the most spare capacity.
+    parts (ties toward the lower slot index). Since ``total <= sum(weights)``,
+    no slot gets more than its weight.
     """
     wsum = sum(weights)
+    if not 0 <= total <= wsum:
+        raise InvariantViolationError(f"cannot apportion {total} over weights summing to {wsum}")
     if total == 0:
         return [0] * len(weights)
-    if wsum == 0:
-        raise InvariantViolationError("cannot apportion over all-zero weights")
     ideal = [total * w / wsum for w in weights]
     alloc = [math.floor(s) for s in ideal]
     remainder = total - sum(alloc)
     order = sorted(range(len(weights)), key=lambda i: (-(ideal[i] - alloc[i]), i))
     for i in order[:remainder]:
         alloc[i] += 1
-    # capacity repair: weights double as per-slot capacity
-    over = [i for i in range(len(alloc)) if alloc[i] > weights[i]]
-    while over:
-        i = over.pop()
-        excess = alloc[i] - weights[i]
-        alloc[i] = weights[i]
-        spare = sorted(
-            (j for j in range(len(alloc)) if alloc[j] < weights[j]),
-            key=lambda j: (-(weights[j] - alloc[j]), j),
-        )
-        for j in spare:
-            if excess == 0:
-                break
-            take = min(excess, weights[j] - alloc[j])
-            alloc[j] += take
-            excess -= take
     return alloc
 
 
-def _place_in_gap(a: int, b: int, count: int, used: set[int]) -> list[int]:
-    """Spread ``count`` indices evenly over the open interval (a, b)."""
-    placed = []
-    span = b - a
-    for j in range(1, count + 1):
-        idx = a + _round_half_away(j * span / (count + 1))
-        idx = min(max(idx, a + 1), b - 1)
-        if idx in used:
-            # nearest unused interior index, preferring the lower one
-            for off in range(1, span):
-                if idx - off > a and idx - off not in used:
-                    idx = idx - off
-                    break
-                if idx + off < b and idx + off not in used:
-                    idx = idx + off
-                    break
-        used.add(idx)
-        placed.append(idx)
-    return placed
+def _place_in_gap(a: int, b: int, count: int) -> list[int]:
+    """Spread ``count < b - a`` distinct indices evenly over the open interval (a, b)."""
+    return [a + math.floor(j * (b - a) / (count + 1) + 0.5) for j in range(1, count + 1)]
 
 
 def select_keyframes(
@@ -233,20 +197,13 @@ def select_keyframes(
 
     # gaps between consecutive selections; the last gap ends at the virtual
     # boundary ``total`` so fill can land near the clip end
-    bounds = selected + [total]
-    gaps = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    capacities = [b - a - 1 for a, b in gaps]
-    alloc = _largest_remainder(capacities, remaining)
-
-    used = set(selected)
-    fill: list[int] = []
-    for (a, b), k in zip(gaps, alloc):
-        if k:
-            fill.extend(_place_in_gap(a, b, k, used))
+    gaps = list(zip(selected, selected[1:] + [total]))
+    alloc = _largest_remainder([b - a - 1 for a, b in gaps], remaining)
+    fill = [i for (a, b), k in zip(gaps, alloc) for i in _place_in_gap(a, b, k)]
 
     return KeyframeSchedule(
         total_frames=total,
-        keyframes=sorted(used),
+        keyframes=sorted(selected + fill),
         peaks_used=chosen_peaks,
         valleys_used=chosen_valleys,
         fill=fill,

@@ -43,7 +43,7 @@ class TestMelSpectrogram:
 
     def test_sub_window_clip_rejected(self):
         clip = AudioClip(samples=np.zeros(399), sample_rate=16000)
-        with pytest.raises(errors.TooShortError):
+        with pytest.raises(errors.ClipTooShortError):
             audiofeat.mel_spectrogram(clip)
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ class TestSpectrogramCommand:
         ingest.write_wav(ingest.AudioClip(samples=np.zeros(1000), sample_rate=44100), wav)
         assert run(["spectrogram", "--wav", wav, "--out", tmp_path / "m.csv"]) == 2
 
+    def test_sub_window_clip_exits_5_without_output(self, tmp_path):
+        wav = tmp_path / "short.wav"
+        ingest.write_wav(ingest.AudioClip(samples=np.zeros(300)), wav)
+        out = tmp_path / "mel.csv"
+        assert run(["spectrogram", "--wav", wav, "--out", out]) == 5
+        assert not out.exists()
+
 
 class TestPatchesCommand:
     def test_prints_46(self, capsys):
@@ -182,6 +190,45 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+GOLDEN_SCHEDULES = Path(__file__).parent / "golden" / "select_schedules.json"
+SELECT_FLAGS = {"k12": ["--k", "12"], "k24": ["--k", "24"],
+                "random7": ["--random", "--seed", "7"]}
+
+
+def burst_scores(total=2400, bursts=8, seed=2400):
+    """Seeded scores: low noise plus Gaussian motion bursts at random frames."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(total)
+    centres = np.sort(rng.choice(total, bursts, replace=False))
+    noise = 0.05 * rng.random(total)
+    return noise + np.exp(-(((t[:, None] - centres) / 20.0) ** 2)).sum(axis=1)
+
+
+def write_golden_scores(name, pgm_dir, path):
+    if name == "clip":
+        assert run(["score", "--frames", pgm_dir, "--normalize", "--out", path]) == 0
+    else:
+        ingest.write_scores_csv(MotionCurve(burst_scores()), path)
+
+
+class TestGoldenSchedules:
+    """``select`` output pinned byte for byte; null marks a rejected k (exit 4)."""
+
+    @pytest.mark.parametrize("scores", ["clip", "bursts2400"])
+    @pytest.mark.parametrize("flags", sorted(SELECT_FLAGS))
+    def test_select_bytes_match_golden(self, scores, flags, pgm_dir, tmp_path):
+        expected = json.loads(GOLDEN_SCHEDULES.read_text())[f"{scores}/{flags}"]
+        path = tmp_path / "scores.csv"
+        write_golden_scores(scores, pgm_dir, path)
+        out = tmp_path / "schedule.json"
+        code = run(["select", "--scores", path, *SELECT_FLAGS[flags], "--out", out])
+        if expected is None:
+            assert code == 4 and not out.exists()
+        else:
+            assert code == 0
+            assert out.read_text() == expected
+
+
 # The CLI's exit status for every leaf error class, plus OSError.
 EXPECTED_EXIT = {
     "EmptyDirectoryError": 2, "MalformedPgmError": 2, "DimensionMismatchError": 2,
@@ -190,8 +237,8 @@ EXPECTED_EXIT = {
     "OSError": 2,
     "TooSmallError": 3, "TooShortError": 3,
     "InvalidKError": 4, "InconsistentExtremaError": 4, "BadIntervalError": 4,
-    "WrongSampleRateError": 5, "KernelTooLargeError": 5, "ShapeMismatchError": 5,
-    "IndexOutOfRangeError": 5,
+    "WrongSampleRateError": 5, "ClipTooShortError": 5, "KernelTooLargeError": 5,
+    "ShapeMismatchError": 5, "IndexOutOfRangeError": 5,
     "CountMismatchError": 6, "BadGeometryError": 6, "OddDimError": 6,
     "NoValidInstancesError": 7, "NotDivisibleByThreeError": 7,
     "InvalidWindowError": 1, "NotNormalizedError": 1,

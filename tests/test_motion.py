@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keysched import errors, motion
@@ -63,6 +63,12 @@ class TestNormalize:
     def test_constant_maps_to_zeros(self):
         out = motion.normalize(motion.MotionCurve(np.full(7, 9.0)))
         assert np.array_equal(out.values, np.zeros(7))
+
+    def test_range_below_floor_is_flat(self):
+        tiny = motion.normalize(motion.MotionCurve(np.array([0.0, 1.4e-45, 0.0])))
+        assert np.array_equal(tiny.values, np.zeros(3))
+        at_floor = motion.normalize(motion.MotionCurve(np.array([0.0, motion.FLAT_RANGE, 0.0])))
+        assert np.array_equal(at_floor.values, [0.0, 1.0, 0.0])
 
     def test_fixed_point(self):
         values = np.array([0.0, 0.25, 1.0])
@@ -129,6 +135,7 @@ class TestDetectPeaks:
     @given(values=curve_values,
            scale=st.floats(min_value=0.1, max_value=50.0),
            offset=st.floats(min_value=0.0, max_value=20.0))
+    @example(values=[0.0, 1.4e-45, 0.0], scale=1.0, offset=1.0)
     def test_invariant_under_positive_affine_transform(self, values, scale, offset):
         raw = np.array(values)
         plain = motion.detect_peaks(motion.normalize(motion.MotionCurve(raw)))

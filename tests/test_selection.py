@@ -168,6 +168,25 @@ class TestLargestRemainder:
     def test_zero_weight_slot_gets_nothing(self):
         assert selection._largest_remainder([0, 5], 3) == [0, 3]
 
+    @pytest.mark.parametrize("weights, total", [([2, 3], 6), ([0, 0], 1), ([4], -1)])
+    def test_total_outside_zero_to_weight_sum_rejected(self, weights, total):
+        with pytest.raises(errors.InvariantViolationError):
+            selection._largest_remainder(weights, total)
+
+
+class TestPlaceInGap:
+    @pytest.mark.parametrize("a", [0, 1000])
+    def test_distinct_and_strictly_inside_for_every_small_gap(self, a):
+        for span in range(1, 41):
+            for count in range(span):
+                placed = selection._place_in_gap(a, a + span, count)
+                assert len(set(placed)) == count
+                assert all(a < i < a + span for i in placed)
+
+    def test_rounds_half_up(self):
+        # ideal offsets 2.5, 5.0, 7.5
+        assert selection._place_in_gap(0, 10, 3) == [3, 5, 8]
+
 
 class TestSplitMix:
     def test_known_sequence_is_stable(self):
