@@ -129,8 +129,8 @@ def mel_csv_text(spec: MelSpectrogram) -> str:
 
 def patch_token_count(frame_count: int, kernel: int, stride: int) -> int:
     """Number of temporal patches a strided 1-D patchifier produces."""
-    if stride < 1:
-        raise InvariantViolationError(f"stride must be >= 1, got {stride}")
+    if kernel < 1 or stride < 1:
+        raise InvariantViolationError(f"kernel and stride must be >= 1, got {kernel}, {stride}")
     if kernel > frame_count:
         raise KernelTooLargeError(f"kernel {kernel} exceeds {frame_count} frames")
     return (frame_count - kernel) // stride + 1

@@ -26,7 +26,7 @@ class FlowError(KeyschedError):
 
 class SelectionError(KeyschedError):
     exit_code = 4
-    summary = "invalid keyframe count"
+    summary = "keyframe selection failure"
 
 
 class AudioError(KeyschedError):

@@ -325,5 +325,5 @@ def read_schedule_json(path: str | Path) -> KeyframeSchedule:
         raise ParseError(f"{path}: missing field {exc}") from exc
     try:
         return KeyframeSchedule(**fields)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

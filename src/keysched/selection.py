@@ -12,6 +12,7 @@ round half up and never collide with each other or with a selected frame.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -20,7 +21,8 @@ from .errors import (
     InvalidKError,
     InvariantViolationError,
 )
-from .motion import Extrema, MotionCurve, detect_valleys, peak_prominences
+# detect_valleys is unused here but stays a module attribute that perfbench/tracer.py wraps
+from .motion import Extrema, MotionCurve, detect_valleys, peak_prominences  # noqa: F401
 
 MODE_BY_PROMINENCE = "by_prominence"
 MODE_SEEDED_RANDOM = "seeded_random"
@@ -115,24 +117,21 @@ def choose_peaks(
     return sorted(peaks[i] for i in ranked[:limit])
 
 
-def valley_between(curve: MotionCurve, p1: int, p2: int) -> int | None:
+def valley_between(curve: MotionCurve, extrema: Extrema, p1: int, p2: int) -> int | None:
     """One valley index strictly inside (p1, p2), or None if the interval is empty.
 
-    Prefers the detected valley with the lowest curve value (ties toward the
-    lower index); absent any detected valley the interval argmin stands in,
-    so consecutive peaks always contribute a separator when room exists.
+    Prefers the valley from ``extrema.valleys`` with the lowest curve value
+    (ties toward the lower index); absent any such valley the interval argmin
+    stands in, so consecutive peaks always contribute a separator when room exists.
     """
     p1, p2 = int(p1), int(p2)
     if p1 >= p2:
         raise BadIntervalError(f"need p1 < p2, got ({p1}, {p2})")
     if p2 - p1 < 2:
         return None
-    x = curve.values
-    inside = [v for v in detect_valleys(curve) if p1 < v < p2]
-    if inside:
-        return min(inside, key=lambda v: (x[v], v))
-    interior = range(p1 + 1, p2)
-    return min(interior, key=lambda v: (x[v], v))
+    valleys = extrema.valleys
+    inside = valleys[bisect_right(valleys, p1):bisect_left(valleys, p2)] or range(p1 + 1, p2)
+    return min(inside, key=lambda v: (curve.values[v], v))
 
 
 def _largest_remainder(weights: list[int], total: int) -> list[int]:
@@ -169,10 +168,11 @@ def select_keyframes(
     """Assemble exactly ``params.target_count`` keyframes for the curve.
 
     Frame 0 is always included. Up to target_count/2 - 1 peaks are chosen
-    (all of them when fewer exist), one valley is inserted between each pair
-    of consecutive chosen peaks, and the remaining budget is spread over the
-    gaps between selected frames proportionally to gap size, with the final
-    gap running to the virtual clip boundary.
+    from ``extrema.peaks`` (all of them when fewer exist), one valley is
+    inserted between each pair of consecutive chosen peaks, taken from
+    ``extrema.valleys`` (see ``valley_between``), and the remaining budget is
+    spread over the gaps between selected frames proportionally to gap size,
+    with the final gap running to the virtual clip boundary.
     """
     total = len(curve)
     t_k = params.target_count
@@ -188,7 +188,7 @@ def select_keyframes(
 
     chosen_valleys = []
     for a, b in zip(chosen_peaks, chosen_peaks[1:]):
-        v = valley_between(curve, a, b)
+        v = valley_between(curve, extrema, a, b)
         if v is not None:
             chosen_valleys.append(v)
 

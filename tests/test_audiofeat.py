@@ -71,6 +71,11 @@ class TestPatchTokenCount:
     def test_single_patch(self):
         assert audiofeat.patch_token_count(16, 16, 4) == 1
 
+    @pytest.mark.parametrize("kernel", [0, -5])
+    def test_kernel_below_one_rejected(self, kernel):
+        with pytest.raises(errors.InvariantViolationError):
+            audiofeat.patch_token_count(196, kernel, 1)
+
     def test_kernel_too_large(self):
         with pytest.raises(errors.KernelTooLargeError):
             audiofeat.patch_token_count(8, 16, 4)

@@ -116,6 +116,10 @@ class TestPatchesCommand:
     def test_kernel_too_large_exits_5(self, capsys):
         assert run(["patches", "--t-a", "8", "--kernel", "16", "--stride", "4"]) == 5
 
+    def test_kernel_zero_exits_2(self, capsys):
+        assert run(["patches", "--t-a", "196", "--kernel", "0", "--stride", "4"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestWindowsCommand:
     def test_json_to_stdout(self, capsys):
@@ -161,6 +165,20 @@ class TestPlotCommand:
     def test_missing_scores_exits_2(self, tmp_path):
         assert run(["plot", "--scores", tmp_path / "nope.csv",
                     "--out", tmp_path / "c.svg"]) == 2
+
+    @pytest.mark.parametrize("payload", [
+        '{"total_frames": 1e400, "keyframes": [0]}',
+        '{"total_frames": 8, "keyframes": [0, 1e400]}',
+    ])
+    def test_overflowing_schedule_exits_2(self, payload, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        ingest.write_scores_csv(MotionCurve(np.linspace(0.0, 1.0, 8)), scores)
+        sched = tmp_path / "sched.json"
+        sched.write_text(payload)
+        out = tmp_path / "c.svg"
+        assert run(["plot", "--scores", scores, "--schedule", sched, "--out", out]) == 2
+        assert not out.exists()
+        assert "keysched plot:" in capsys.readouterr().err
 
 
 class TestThreadCap:

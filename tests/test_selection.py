@@ -23,20 +23,62 @@ def two_peak_curve(total=48):
     return normalized(x)
 
 
+def two_dip_curve():
+    """two_peak_curve plus a shallow dip at 15 beside the deepest one at 20."""
+    x = two_peak_curve().values.copy()
+    x[15] = 0.3
+    return normalized(x)
+
+
+def burst_curve(total=2400, bursts=8, seed=2400):
+    """Smoothed, normalized noise plus Gaussian bursts: many peaks and valleys."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(total)
+    centres = np.sort(rng.choice(total, bursts, replace=False))
+    raw = 0.05 * rng.random(total) + np.exp(-(((t[:, None] - centres) / 20.0) ** 2)).sum(axis=1)
+    return motion.normalize(motion.smooth(motion.MotionCurve(raw)))
+
+
 class TestValleyBetween:
     def test_argmin_tiebreak_on_flat_inside(self):
         curve = normalized([0.0] * 10 + [1.0] + [0.0] * 19 + [1.0] + [0.0] * 17)
-        assert selection.valley_between(curve, 10, 30) == 11
+        assert selection.valley_between(curve, motion.Extrema(), 10, 30) == 11
 
     def test_detected_valley_preferred(self):
-        assert selection.valley_between(two_peak_curve(), 10, 30) == 20
+        curve = two_peak_curve()
+        assert selection.valley_between(curve, motion.detect_extrema(curve), 10, 30) == 20
+
+    def test_no_valley_inside_falls_back_to_argmin(self):
+        assert selection.valley_between(two_dip_curve(), motion.Extrema(), 10, 30) == 20
+        outside = motion.Extrema(valleys=[5, 30, 40])
+        assert selection.valley_between(two_dip_curve(), outside, 10, 30) == 20
+
+    def test_callers_valleys_are_the_candidates(self):
+        curve = two_dip_curve()
+        assert selection.valley_between(curve, motion.Extrema(valleys=[15]), 10, 30) == 15
+        assert selection.valley_between(curve, motion.Extrema(valleys=[15, 20]), 10, 30) == 20
 
     def test_empty_open_interval(self):
-        assert selection.valley_between(two_peak_curve(), 10, 11) is None
+        curve = two_peak_curve()
+        assert selection.valley_between(curve, motion.detect_extrema(curve), 10, 11) is None
 
     def test_bad_interval(self):
+        curve = two_peak_curve()
         with pytest.raises(errors.BadIntervalError):
-            selection.valley_between(two_peak_curve(), 30, 10)
+            selection.valley_between(curve, motion.detect_extrema(curve), 30, 10)
+
+    def test_matches_filtering_every_detected_valley(self):
+        """Bisecting the sorted valley list picks what a full scan would."""
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            total = int(rng.integers(8, 300))
+            curve = motion.normalize(motion.MotionCurve(rng.random(total)))
+            extrema = motion.detect_extrema(curve, int(rng.integers(1, 6)), 0.05)
+            p1, p2 = sorted(int(i) for i in rng.choice(total, 2, replace=False))
+            x = curve.values
+            inside = [v for v in extrema.valleys if p1 < v < p2] or range(p1 + 1, p2)
+            expected = min(inside, key=lambda v: (x[v], v)) if p2 - p1 >= 2 else None
+            assert selection.valley_between(curve, extrema, p1, p2) == expected
 
 
 class TestChoosePeaks:
@@ -86,6 +128,27 @@ class TestSelectKeyframes:
         assert sched.keyframes == [0, 3, 7, 10, 13, 17, 20, 25, 30, 35, 39, 44]
         assert sched.peaks_used == [10, 30]
         assert sched.valleys_used == [20]
+
+    def test_valleys_come_from_the_callers_extrema(self):
+        extrema = motion.Extrema(peaks=[10, 30], valleys=[15])
+        sched = selection.select_keyframes(two_dip_curve(), extrema,
+                                           selection.SelectionParams(12))
+        assert sched.valleys_used == [15]
+        assert 15 in sched.keyframes
+
+    def test_no_valley_redetection(self, monkeypatch):
+        curve = burst_curve()
+        extrema = motion.detect_extrema(curve)
+
+        def no_detection(*args, **kwargs):
+            raise AssertionError("valleys detected again during selection")
+
+        monkeypatch.setattr(motion, "detect_valleys", no_detection)
+        monkeypatch.setattr(selection, "detect_valleys", no_detection)
+        sched = selection.select_keyframes(curve, extrema, selection.SelectionParams(24))
+        assert len(sched.keyframes) == 24
+        assert sched.valleys_used
+        assert set(sched.valleys_used) <= set(extrema.valleys)
 
     def test_invalid_k(self):
         with pytest.raises(errors.InvalidKError):
