@@ -9,6 +9,8 @@ benchmark endpoint accuracy.
 
 from __future__ import annotations
 
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -66,14 +68,16 @@ class FlowParams:
     convergence_eps: float = DEFAULT_CONVERGENCE_EPS
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvariantViolationError("alpha must be > 0")
-        if self.iterations < 1:
-            raise InvariantViolationError("iterations must be >= 1")
-        if self.pyramid_levels < 1:
-            raise InvariantViolationError("pyramid_levels must be >= 1")
-        if self.convergence_eps < 0:
-            raise InvariantViolationError("convergence_eps must be >= 0")
+        for name in ("iterations", "pyramid_levels"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvariantViolationError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise InvariantViolationError(f"{name} must be >= 1")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise InvariantViolationError("alpha must be finite and > 0")
+        if not (math.isfinite(self.convergence_eps) and self.convergence_eps >= 0):
+            raise InvariantViolationError("convergence_eps must be finite and >= 0")
 
 
 def _conv3(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -142,9 +146,9 @@ def hs_energy(a: np.ndarray, b_warped: np.ndarray, u: np.ndarray, v: np.ndarray,
     return float(np.sum(data) + alpha ** 2 * np.sum(smooth))
 
 
-def _solve_level(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
-                 alpha: float, iterations: int, eps: float):
-    """Warp b by the current flow, then Jacobi-iterate the increment."""
+def _linearize(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray, alpha: float):
+    """Warp b by the current flow; return the gradients of the mean image,
+    the temporal difference and the Jacobi denominator."""
     h, w = a.shape
     gy, gx = np.mgrid[0:h, 0:w].astype(np.float64)
     b_warped = _bilinear_sample(b, gx + u, gy + v)
@@ -152,19 +156,70 @@ def _solve_level(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
     ix, iy = _gradients(avg)
     it = b_warped - a
     denom = alpha ** 2 + ix ** 2 + iy ** 2
-    du = np.zeros_like(u)
-    dv = np.zeros_like(v)
+    return ix, iy, it, denom
+
+
+def _solve_level(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
+                 alpha: float, iterations: int, eps: float):
+    """Warp b by the current flow, then Jacobi-iterate the increment.
+
+    The increment (du, dv) lives as one (2, h, w) array in the interior of a
+    replicate-padded (2, h + 2, w + 2) grid; two such grids swap roles each
+    iteration, so the loop allocates nothing. The update runs on the flat
+    span from the first to the last interior pixel, where each 3x3 tap is a
+    constant offset and every operation is one contiguous pass. The border
+    pixels inside that span get values nothing reads before the replicate
+    refresh overwrites them. Each interior value goes through the float
+    operations of one ``np.pad`` convolution per component, in the same
+    order, so the result is bit-identical to that form.
+    """
+    h, w = a.shape
+    row = w + 2
+    start, size = row + 1, (h - 1) * row + w
+    # ix, iy, it, denom laid out like the grid; border 1.0 in denom keeps
+    # the discarded border values finite
+    terms = np.zeros((4, h + 2, row))
+    terms[3] = 1.0
+    terms[:, 1:-1, 1:-1] = _linearize(a, b, u, v, alpha)
+    terms = terms.reshape(4, -1)[:, start:start + size]
+    grad, it, denom = terms[:2], terms[2], terms[3]
+    cur, nxt = np.zeros((2, h + 2, row)), np.zeros((2, h + 2, row))
+    # the padded increment times each distinct nonzero weight, and the taps
+    # in the row-major (dy, dx) order the convolution sums them in
+    weighted = {k: np.empty((2, (h + 2) * row)) for k in np.unique(_AVG_KERNEL) if k}
+    taps = [weighted[k][:, dy * row + dx:dy * row + dx + size]
+            for (dy, dx), k in np.ndenumerate(_AVG_KERNEL) if k]
+    bar = np.empty((2, size))
+    tmp = np.empty((2, size))
+    shared = np.empty(size)
+    diff = tmp[:, :h * w].reshape(2, h, w)  # tmp is free once nxt is written
+    sums = np.empty(2)
     for _ in range(iterations):
-        ubar = _conv3(du, _AVG_KERNEL)
-        vbar = _conv3(dv, _AVG_KERNEL)
-        shared = (ix * ubar + iy * vbar + it) / denom
-        ndu = ubar - ix * shared
-        ndv = vbar - iy * shared
-        delta = max(float(np.mean(np.abs(ndu - du))), float(np.mean(np.abs(ndv - dv))))
-        du, dv = ndu, ndv
+        for k, out in weighted.items():
+            np.multiply(cur.reshape(2, -1), k, out=out)
+        bar.fill(0.0)
+        for tap in taps:
+            bar += tap
+        np.multiply(grad, bar, out=tmp)
+        np.add(tmp[0], tmp[1], out=shared)
+        shared += it
+        shared /= denom
+        np.multiply(grad, shared, out=tmp)
+        np.subtract(bar, tmp, out=nxt.reshape(2, -1)[:, start:start + size])
+        np.subtract(nxt[:, 1:-1, 1:-1], cur[:, 1:-1, 1:-1], out=diff)
+        np.abs(diff, out=diff)
+        # larger per-component mean of |new - old|; each row reduces in the
+        # same pairwise order as np.mean of that component alone
+        np.add.reduce(diff.reshape(2, -1), axis=1, out=sums)
+        delta = float(sums.max()) / (h * w)
+        nxt[:, 0, 1:-1] = nxt[:, 1, 1:-1]
+        nxt[:, -1, 1:-1] = nxt[:, -2, 1:-1]
+        nxt[:, :, 0] = nxt[:, :, 1]
+        nxt[:, :, -1] = nxt[:, :, -2]
+        cur, nxt = nxt, cur
         if delta < eps:
             break
-    return u + du, v + dv
+    return u + cur[0, 1:-1, 1:-1], v + cur[1, 1:-1, 1:-1]
 
 
 def estimate_flow(a: Frame, b: Frame, params: FlowParams | None = None) -> FlowField:

@@ -98,3 +98,72 @@ def mel_band_oracle(freq, n_mels=128, fmax=8000.0):
         if w > best_w:
             best, best_w = i, w
     return best
+
+
+# Horn-Schunck level solve in its direct form: separate (du, dv) arrays, one
+# np.pad and a fresh accumulator per component and iteration.
+# flow._solve_level must match it bit for bit.
+AVG_KERNEL = np.array(
+    [[1 / 12, 1 / 6, 1 / 12], [1 / 6, 0.0, 1 / 6], [1 / 12, 1 / 6, 1 / 12]]
+)
+
+
+def conv3_oracle(x, kernel):
+    """3x3 convolution with replicate borders."""
+    p = np.pad(x, 1, mode="edge")
+    out = np.zeros_like(x)
+    h, w = x.shape
+    for dy in range(3):
+        for dx in range(3):
+            k = kernel[dy, dx]
+            if k:
+                out += k * p[dy:dy + h, dx:dx + w]
+    return out
+
+
+def gradients_oracle(img):
+    """Central differences over a replicate-padded image."""
+    p = np.pad(img, 1, mode="edge")
+    ix = (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0
+    iy = (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
+    return ix, iy
+
+
+def bilinear_sample_oracle(img, xs, ys):
+    """Sample img at fractional coordinates, clamping to the border."""
+    h, w = img.shape
+    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
+    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+def solve_level_oracle(a, b, u, v, alpha, iterations, eps):
+    """Warp b by the current flow, then Jacobi-iterate the increment."""
+    h, w = a.shape
+    gy, gx = np.mgrid[0:h, 0:w].astype(np.float64)
+    b_warped = bilinear_sample_oracle(b, gx + u, gy + v)
+    avg = (a + b_warped) / 2.0
+    ix, iy = gradients_oracle(avg)
+    it = b_warped - a
+    denom = alpha ** 2 + ix ** 2 + iy ** 2
+    du = np.zeros_like(u)
+    dv = np.zeros_like(v)
+    for _ in range(iterations):
+        ubar = conv3_oracle(du, AVG_KERNEL)
+        vbar = conv3_oracle(dv, AVG_KERNEL)
+        shared = (ix * ubar + iy * vbar + it) / denom
+        ndu = ubar - ix * shared
+        ndv = vbar - iy * shared
+        delta = max(float(np.mean(np.abs(ndu - du))), float(np.mean(np.abs(ndv - dv))))
+        du, dv = ndu, ndv
+        if delta < eps:
+            break
+    return u + du, v + dv

@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import moving_square_frames
 from keysched import errors, flow
 from keysched.ingest import Frame, FrameSequence
-from oracles import translated_texture
+from oracles import solve_level_oracle, translated_texture
 
 
 def as_frame(pixels):
@@ -61,6 +65,68 @@ class TestEstimateFlow:
             energies.append(flow.hs_energy(base, shifted, field.u, field.v, alpha_eff))
         for before, after in zip(energies, energies[1:]):
             assert after <= before + 1e-12 * max(1.0, abs(before))
+
+
+class TestFlowParams:
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(errors.InvariantViolationError):
+            flow.FlowParams(alpha=alpha)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_convergence_eps_rejected(self, eps):
+        with pytest.raises(errors.InvariantViolationError):
+            flow.FlowParams(convergence_eps=eps)
+
+    @pytest.mark.parametrize("field", ["iterations", "pyramid_levels"])
+    @pytest.mark.parametrize("value", [2.5, 1.5, 2.0, True])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(errors.InvariantViolationError):
+            flow.FlowParams(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        params = flow.FlowParams(iterations=np.int64(7), pyramid_levels=np.int32(2))
+        assert (params.iterations, params.pyramid_levels) == (7, 2)
+
+
+def level_inputs(height, width, seed):
+    """Seeded smooth frame pair and a nonzero starting flow for one level."""
+    rng = np.random.default_rng(seed)
+    a = rng.random((height, width))
+    for _ in range(2):
+        a = (a + np.roll(a, 1, axis=0) + np.roll(a, 1, axis=1)) / 3.0
+    b = np.roll(a, 1, axis=1) + 0.01 * rng.standard_normal((height, width))
+    u, v = 0.3 * rng.standard_normal((2, height, width))
+    return a, b, u, v
+
+
+class TestSolveLevelMatchesReference:
+    """The stacked in-place Jacobi loop against the per-component loop it
+    replaced (``oracles.solve_level_oracle``), compared bit for bit."""
+
+    ALPHA = flow.DEFAULT_ALPHA / 255.0
+    SHAPES = [(8, 8), (17, 9), (64, 40)]
+
+    def check(self, shape, iterations, eps):
+        a, b, u, v = level_inputs(*shape, seed=shape[0] * 100 + shape[1])
+        got = flow._solve_level(a, b, u, v, self.ALPHA, iterations, eps)
+        want = solve_level_oracle(a, b, u, v, self.ALPHA, iterations, eps)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("iterations", range(1, 7))
+    def test_fixed_iteration_counts(self, shape, iterations):
+        self.check(shape, iterations, eps=0.0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_break_after_first_iteration(self, shape):
+        self.check(shape, flow.DEFAULT_ITERATIONS, eps=float("inf"))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_defaults(self, shape):
+        self.check(shape, flow.DEFAULT_ITERATIONS, flow.DEFAULT_CONVERGENCE_EPS)
 
 
 class TestMotionScore:
@@ -130,3 +196,66 @@ class TestMotionCurve:
         serial = flow.motion_curve(seq, workers=1)
         threaded = flow.motion_curve(seq, workers=4)
         assert np.array_equal(serial.values, threaded.values)
+
+
+GOLDEN_FLOW_SCORES = Path(__file__).parent / "golden" / "flow_scores.json"
+
+
+def sine_texture_clip(height, width, count, seed):
+    """Seeded smooth texture translated by a seeded sub-pixel step per frame."""
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(0.02, 0.12, size=(6, 2))
+    phases = rng.uniform(0.0, 2 * np.pi, 6)
+    amps = rng.uniform(0.03, 0.08, 6)
+    yy, xx = np.mgrid[0:height, 0:width].astype(float)
+    frames = []
+    x_off = y_off = 0.0
+    for _ in range(count):
+        img = 0.5 + sum(a * np.sin(2 * np.pi * (fx * (xx - x_off) + fy * (yy - y_off)) + p)
+                        for (fx, fy), p, a in zip(freqs, phases, amps))
+        frames.append(as_frame(img))
+        x_off += rng.uniform(-1.5, 1.5)
+        y_off += rng.uniform(-1.5, 1.5)
+    return FrameSequence(frames=frames, fps=24.0)
+
+
+def rolled_noise_clip(height, width, count, seed):
+    """Seeded box-smoothed noise, circularly shifted by whole pixels per frame."""
+    rng = np.random.default_rng(seed)
+    base = rng.random((height, width))
+    for _ in range(2):
+        base = (base + np.roll(base, 1, axis=0) + np.roll(base, 1, axis=1)
+                + np.roll(base, (1, 1), axis=(0, 1))) / 4.0
+    frames = []
+    dy = dx = 0
+    for _ in range(count):
+        frames.append(as_frame(np.roll(base, (dy, dx), axis=(0, 1))))
+        dy += int(rng.integers(-2, 3))
+        dx += int(rng.integers(-2, 3))
+    return FrameSequence(frames=frames, fps=24.0)
+
+
+def noise_clip(height, width, count, seed):
+    """Independent uniform noise frames: no coherent motion at all."""
+    rng = np.random.default_rng(seed)
+    return FrameSequence(frames=[as_frame(rng.random((height, width)))
+                                 for _ in range(count)], fps=24.0)
+
+
+GOLDEN_CLIPS = {
+    "moving_square": moving_square_frames,
+    "texture128": lambda: sine_texture_clip(128, 128, 8, seed=128),
+    "noise48x96": lambda: rolled_noise_clip(48, 96, 6, seed=4896),
+    "noise3": lambda: noise_clip(32, 32, 3, seed=3),
+}
+
+
+class TestGoldenScores:
+    """Raw motion scores pinned exactly, so a rewrite of the solver cannot
+    drift them even in the last bit."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CLIPS))
+    def test_raw_scores_equal_golden(self, name):
+        expected = json.loads(GOLDEN_FLOW_SCORES.read_text())[name]
+        curve = flow.motion_curve(GOLDEN_CLIPS[name](), normalize=False)
+        assert [repr(x) for x in curve.values.tolist()] == expected
