@@ -3,12 +3,15 @@
 smooth(): centered moving average with boundary truncation.
 normalize(): per-clip min-max scaling to [0, 1]; a range below FLAT_RANGE is flat.
 detect_peaks() / detect_valleys(): local extrema filtered by topographic
-prominence and a minimum inter-peak distance.
-peak_prominences(): prominence lookup used by downstream peak ranking.
+prominence and a minimum inter-peak distance; extrema and prominences come
+from one linear-time monotonic-stack pass per side.
+peak_prominences(): exact prominence of any index (0.0 off a peak plateau),
+used by downstream peak ranking.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,55 +107,61 @@ def normalize(curve: MotionCurve) -> MotionCurve:
     return MotionCurve((x - lo) / (hi - lo), stage=STAGE_NORMALIZED)
 
 
-def _local_maxima(x: np.ndarray) -> list[int]:
-    """Interior local maxima; a flat run reports its leftmost index only."""
-    n = x.size
-    maxima = []
-    i = 1
-    while i < n - 1:
-        if x[i] > x[i - 1]:
-            j = i
-            while j + 1 < n and x[j + 1] == x[i]:
-                j += 1
-            # the run [i, j] is a peak only if it drops on the right as well
-            if j < n - 1 and x[j + 1] < x[i]:
-                maxima.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return maxima
+def _span_minima(values: list[float]) -> list[float]:
+    """For each value, the minimum from it back to the nearest strictly higher value.
 
-
-def _prominence(x: np.ndarray, i: int) -> float:
-    """Topographic prominence of index ``i``.
-
-    Walks outward until strictly higher terrain or the array end, takes the
-    minimum of each stretch, and measures height above the higher minimum.
-    Array ends act as unbounded drops, never as higher terrain.
+    One monotonic-stack pass: the stack holds values that strictly decrease
+    from the bottom, each with the minimum of its own span, and a new value
+    absorbs the spans of every entry it pops.
     """
-    h = x[i]
-    j = i - 1
-    left = h
-    while j >= 0 and x[j] <= h:
-        if x[j] < left:
-            left = x[j]
-        j -= 1
-    j = i + 1
-    right = h
-    while j < x.size and x[j] <= h:
-        if x[j] < right:
-            right = x[j]
-        j += 1
-    return float(h - max(left, right))
+    out = []
+    stack: list[tuple[float, float]] = []
+    for h in values:
+        m = h
+        while stack and stack[-1][0] <= h:
+            s = stack.pop()[1]
+            if s < m:
+                m = s
+        stack.append((h, m))
+        out.append(m)
+    return out
+
+
+def _run_prominences(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index of each run of equal values in ``x``, and each run's prominence.
+
+    Topographic prominence: from the run, each side's minimum up to strictly
+    higher terrain or the array end, and the height above the higher of the
+    two. The minima are taken only over turning runs (both ends, maxima,
+    minima), because a side's minimum always lies on one; being minima of the
+    same elements, they are exactly those of a walk over every index. A
+    local-maximum run (both neighbours strictly lower) has prominence > 0;
+    every other run, the array ends included, has exactly 0.
+    """
+    first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    v = x[first]
+    up = v[1:] > v[:-1]
+    turn = np.concatenate(([0], np.flatnonzero(up[:-1] != up[1:]) + 1, [v.size - 1]))
+    tv = v[turn].tolist()
+    base = np.maximum(_span_minima(tv), _span_minima(tv[::-1])[::-1])
+    prom = np.zeros(v.size)
+    prom[turn] = v[turn] - base
+    return first, prom
 
 
 def peak_prominences(curve: MotionCurve, indices: list[int]) -> list[float]:
-    """Prominence of each index on the curve, in the given order."""
+    """Prominence of each index on the curve, in the given order.
+
+    Exact for any index: an index on a peak plateau gets the plateau's
+    prominence, any other index 0.0.
+    """
     x = curve.values
     for i in indices:
         if not 0 <= i < x.size:
             raise InvariantViolationError(f"index {i} outside curve of length {x.size}")
-    return [_prominence(x, int(i)) for i in indices]
+    first, prom = _run_prominences(x)
+    runs = np.searchsorted(first, np.asarray(indices, dtype=np.int64), side="right") - 1
+    return prom[runs].tolist()
 
 
 def detect_peaks(
@@ -162,20 +171,26 @@ def detect_peaks(
 ) -> list[int]:
     """Peak indices of a normalized curve.
 
-    Candidates are interior local maxima (leftmost index of a plateau). They
-    are filtered to prominence >= ``min_prominence``, then thinned so any two
-    survivors sit >= ``min_distance`` apart, keeping higher peaks first and
-    breaking height ties toward the lower index.
+    Candidates are interior local maxima (leftmost index of a plateau), found
+    with their prominences in one linear-time monotonic-stack pass per side.
+    They are filtered to prominence >= ``min_prominence``, then thinned so any
+    two survivors sit >= ``min_distance`` apart, keeping higher peaks first
+    and breaking height ties toward the lower index.
     """
     if curve.stage != STAGE_NORMALIZED:
         raise NotNormalizedError("peak detection requires a normalized curve")
     x = curve.values
-    cands = [i for i in _local_maxima(x) if _prominence(x, i) >= min_prominence]
+    first, prom = _run_prominences(x)
+    cands = first[(prom > 0) & (prom >= min_prominence)]
     kept: list[int] = []
-    for i in sorted(cands, key=lambda i: (-x[i], i)):
-        if all(abs(i - k) >= min_distance for k in kept):
-            kept.append(i)
-    return sorted(kept)
+    for i in cands[np.argsort(-x[cands], kind="stable")].tolist():
+        # the nearest kept peak on either side decides
+        pos = bisect_left(kept, i)
+        if (pos == 0 or i - kept[pos - 1] >= min_distance) and (
+            pos == len(kept) or kept[pos] - i >= min_distance
+        ):
+            kept.insert(pos, i)
+    return kept
 
 
 def detect_valleys(

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvariantViolationError
 from .motion import Extrema, MotionCurve
 from .selection import KeyframeSchedule
@@ -70,7 +72,9 @@ def render_plot(spec: PlotSpec) -> str:
                 f'<line x1="{x}" y1="{_fmt(MARGIN)}" x2="{x}" y2="{_fmt(MARGIN + inner_h)}" '
                 f'stroke="{KEYFRAME_COLOR}" stroke-width="1" stroke-dasharray="3,3"/>'
             )
-    points = " ".join(f"{_fmt(sx(i))},{_fmt(sy(v))}" for i, v in enumerate(values))
+    # sx and sy take arrays too; a one-point curve's scalar centre x broadcasts
+    xs = np.broadcast_to(sx(np.arange(n)), n)
+    points = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), sy(values).tolist()))
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="{CURVE_COLOR}" stroke-width="1.5"/>'
     )

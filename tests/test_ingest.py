@@ -173,7 +173,11 @@ class TestScoresCsv:
         path = tmp_path_factory.mktemp("csv") / "rt.csv"
         ingest.write_scores_csv(MotionCurve(np.array(values)), path)
         back = ingest.read_scores_csv(path)
-        assert np.all(np.abs(back.values - np.array(values)) <= 5e-10)
+        # the file holds each value rounded to 9 decimals; above 2**18 the float
+        # nearest that decimal can sit one ulp further than 5e-10 from the value
+        assert back.values.tolist() == [float(f"{v:.9f}") for v in values]
+        v = np.array(values)
+        assert np.all(np.abs(back.values - v) <= 5e-10 + np.spacing(v))
 
 
 class TestScheduleJson:

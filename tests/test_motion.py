@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -173,7 +175,7 @@ class TestPeakProminences:
             indices = list(range(len(curve)))
             ours = motion.peak_prominences(curve, indices)
             theirs = [prominence_oracle(curve.values.tolist(), i) for i in indices]
-            assert np.allclose(ours, theirs, atol=1e-12)
+            assert ours == theirs
 
     def test_out_of_range_rejected(self):
         with pytest.raises(errors.InvariantViolationError):
@@ -184,4 +186,47 @@ class TestLocalMaximaAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(values=curve_values)
     def test_plateau_handling(self, values):
-        assert motion._local_maxima(np.array(values)) == plateau_peaks_oracle(values)
+        first, prom = motion._run_prominences(np.array(values))
+        assert first[prom > 0].tolist() == plateau_peaks_oracle(values)
+
+
+# integer-valued and 2-decimal curves: long plateaus and exact ties
+plateau_values = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=96),
+    st.lists(st.integers(min_value=0, max_value=100).map(lambda k: k / 100),
+             min_size=1, max_size=96),
+)
+
+
+class TestExactAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(values=plateau_values)
+    def test_prominences_and_extrema_on_plateau_curves(self, values):
+        curve = motion.normalize(motion.MotionCurve(np.array(values, dtype=float)))
+        x = curve.values.tolist()
+        indices = list(range(len(x)))
+        assert motion.peak_prominences(curve, indices) == [prominence_oracle(x, i) for i in indices]
+        negated = (curve.values.max() - curve.values).tolist()
+        for min_distance in (1, 3, 5):
+            for min_prominence in (0.0, 0.1, 0.5):
+                assert motion.detect_peaks(curve, min_distance, min_prominence) == \
+                    detect_peaks_oracle(x, min_distance, min_prominence)
+                assert motion.detect_valleys(curve, min_distance, min_prominence) == \
+                    detect_peaks_oracle(negated, min_distance, min_prominence)
+
+    def test_ascending_sawtooth_is_linear(self):
+        # every walk outward from a tooth crosses all lower teeth: quadratic for
+        # a per-peak walk, one stack pass here
+        x = np.zeros(8000)
+        x[1::2] = np.arange(1, 4001)
+        curve = motion.normalize(motion.MotionCurve(x))
+        indices = list(range(x.size))
+        start = time.perf_counter()
+        extrema = motion.detect_extrema(curve)
+        proms = motion.peak_prominences(curve, indices)
+        elapsed = time.perf_counter() - start
+        v = curve.values.tolist()
+        assert extrema.peaks == detect_peaks_oracle(v)
+        assert extrema.valleys == detect_peaks_oracle((curve.values.max() - curve.values).tolist())
+        assert proms == [prominence_oracle(v, i) for i in indices]
+        assert elapsed < 2.0
