@@ -78,15 +78,15 @@ def _mel_to_hz(mel: float) -> float:
     return 1000.0 * math.exp((math.log(6.4) / 27.0) * (mel - 15.0))
 
 
-def mel_filterbank(n_fft: int = WINDOW_SIZE, sample_rate: int = PIPELINE_SAMPLE_RATE,
-                   n_mels: int = N_MELS, fmax: float = FMAX) -> np.ndarray:
-    """Area-normalized triangular filters on the Slaney mel scale."""
-    n_bins = n_fft // 2 + 1
-    fft_freqs = np.arange(n_bins) * (sample_rate / n_fft)
-    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(fmax), n_mels + 2)
+def mel_filterbank() -> np.ndarray:
+    """Area-normalized triangular filters on the Slaney mel scale: N_MELS
+    bands up to FMAX over the bins of a WINDOW_SIZE-point FFT."""
+    n_bins = WINDOW_SIZE // 2 + 1
+    fft_freqs = np.arange(n_bins) * (PIPELINE_SAMPLE_RATE / WINDOW_SIZE)
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(FMAX), N_MELS + 2)
     hz_pts = np.array([_mel_to_hz(m) for m in mel_pts])
-    bank = np.zeros((n_mels, n_bins))
-    for i in range(n_mels):
+    bank = np.zeros((N_MELS, n_bins))
+    for i in range(N_MELS):
         lo, mid, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
         rising = (fft_freqs - lo) / (mid - lo)
         falling = (hi - fft_freqs) / (hi - mid)

@@ -10,20 +10,12 @@ class in ``keysched.errors``; an OSError exits 2.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import audiofeat, evaluate, flow, ingest, motion, schedule, selection
 from .errors import STAGE_ERRORS, IngestError, KeyschedError
 from .ingest import _atomic_write_text
 from .plot import PlotSpec, render_plot
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("KEYSCHED_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _prepare_curve(scores_path: str):
@@ -33,9 +25,7 @@ def _prepare_curve(scores_path: str):
 
 def cmd_score(args) -> int:
     seq = ingest.load_frame_sequence(args.frames, fps=args.fps)
-    curve = flow.motion_curve(
-        seq, flow.FlowParams(), normalize=args.normalize, workers=_workers()
-    )
+    curve = flow.motion_curve(seq, flow.FlowParams(), normalize=args.normalize)
     _atomic_write_text(args.out, ingest.scores_csv_text(curve))
     return 0
 
@@ -98,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="keysched",
         description="Motion scoring, keyframe selection, and schedule tooling "
                     "for audio-driven video generation pipelines.",
-        epilog=f"Exit codes - 0: success; {codes}. "
-               "KEYSCHED_THREADS caps internal parallelism.",
+        epilog=f"Exit codes - 0: success; {codes}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,24 +128,6 @@ def _downsample(img: np.ndarray) -> np.ndarray:
     return _conv3(img, _BLUR_KERNEL)[::2, ::2]
 
 
-def hs_energy(a: np.ndarray, b_warped: np.ndarray, u: np.ndarray, v: np.ndarray,
-              alpha: float) -> float:
-    """Discrete Horn-Schunck energy for an increment (u, v) at one level.
-
-    Brightness-constancy residual is linearized around the warped second
-    frame; smoothness uses forward differences. Exposed so callers can
-    monitor convergence of the Jacobi iterations.
-    """
-    avg = (a + b_warped) / 2.0
-    ix, iy = _gradients(avg)
-    it = b_warped - a
-    data = (ix * u + iy * v + it) ** 2
-    smooth = np.zeros_like(u)
-    smooth[:, :-1] += np.diff(u, axis=1) ** 2 + np.diff(v, axis=1) ** 2
-    smooth[:-1, :] += np.diff(u, axis=0) ** 2 + np.diff(v, axis=0) ** 2
-    return float(np.sum(data) + alpha ** 2 * np.sum(smooth))
-
-
 def _linearize(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray, alpha: float):
     """Warp b by the current flow; return the gradients of the mean image,
     the temporal difference and the Jacobi denominator."""
@@ -222,43 +204,54 @@ def _solve_level(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
     return u + cur[0, 1:-1, 1:-1], v + cur[1, 1:-1, 1:-1]
 
 
+def _pair_flows(frames: Sequence[Frame], params: FlowParams) -> Iterator[FlowField]:
+    """Coarse-to-fine flow of each consecutive frame pair, in order.
+
+    The frame sizes and the coarsest level are checked once, before any
+    solve. Each frame's pyramid is built once; only the previous frame's
+    stays live while the next pair is solved.
+    """
+    h, w = frames[0].height, frames[0].width
+    for f in frames[1:]:
+        if (f.height, f.width) != (h, w):
+            raise DimensionMismatchError(f"frames differ: {h}x{w} vs {f.height}x{f.width}")
+    levels = params.pyramid_levels
+    coarse_h, coarse_w = h >> (levels - 1), w >> (levels - 1)
+    if coarse_h < MIN_COARSE_SIZE or coarse_w < MIN_COARSE_SIZE:
+        raise TooSmallError(
+            f"{h}x{w} leaves {coarse_h}x{coarse_w} at the coarsest of "
+            f"{levels} levels (need >= {MIN_COARSE_SIZE})"
+        )
+    alpha = params.alpha / 255.0
+    prev = None
+    for frame in frames:
+        pyr = [frame.pixels]
+        for _ in range(levels - 1):
+            pyr.append(_downsample(pyr[-1]))
+        if prev is not None:
+            u = np.zeros_like(pyr[-1])
+            v = np.zeros_like(pyr[-1])
+            for level in range(levels - 1, -1, -1):
+                if level != levels - 1:
+                    ch, cw = u.shape
+                    fh, fw = pyr[level].shape
+                    u = _resize_bilinear(u, (fh, fw)) * (fw / cw)
+                    v = _resize_bilinear(v, (fh, fw)) * (fh / ch)
+                u, v = _solve_level(
+                    prev[level], pyr[level], u, v,
+                    alpha, params.iterations, params.convergence_eps,
+                )
+            yield FlowField(u=u, v=v)
+        prev = pyr
+
+
 def estimate_flow(a: Frame, b: Frame, params: FlowParams | None = None) -> FlowField:
     """Dense flow from frame a to frame b, coarse-to-fine.
 
     The returned (u, v) displace content of ``a`` onto ``b``: content moving
     one pixel right yields u near +1.
     """
-    params = params or FlowParams()
-    if (a.height, a.width) != (b.height, b.width):
-        raise DimensionMismatchError(
-            f"frames differ: {a.height}x{a.width} vs {b.height}x{b.width}"
-        )
-    coarse_h = a.height >> (params.pyramid_levels - 1)
-    coarse_w = a.width >> (params.pyramid_levels - 1)
-    if coarse_h < MIN_COARSE_SIZE or coarse_w < MIN_COARSE_SIZE:
-        raise TooSmallError(
-            f"{a.height}x{a.width} leaves {coarse_h}x{coarse_w} at the coarsest of "
-            f"{params.pyramid_levels} levels (need >= {MIN_COARSE_SIZE})"
-        )
-    alpha = params.alpha / 255.0
-    pyr_a = [a.pixels]
-    pyr_b = [b.pixels]
-    for _ in range(params.pyramid_levels - 1):
-        pyr_a.append(_downsample(pyr_a[-1]))
-        pyr_b.append(_downsample(pyr_b[-1]))
-    u = np.zeros_like(pyr_a[-1])
-    v = np.zeros_like(pyr_a[-1])
-    for level in range(params.pyramid_levels - 1, -1, -1):
-        if level != params.pyramid_levels - 1:
-            ch, cw = u.shape
-            fh, fw = pyr_a[level].shape
-            u = _resize_bilinear(u, (fh, fw)) * (fw / cw)
-            v = _resize_bilinear(v, (fh, fw)) * (fh / ch)
-        u, v = _solve_level(
-            pyr_a[level], pyr_b[level], u, v,
-            alpha, params.iterations, params.convergence_eps,
-        )
-    return FlowField(u=u, v=v)
+    return next(_pair_flows([a, b], params or FlowParams()))
 
 
 def motion_score(flow: FlowField, normalize: bool = True) -> float:
@@ -273,27 +266,17 @@ def motion_curve(
     seq: FrameSequence,
     params: FlowParams | None = None,
     normalize: bool = True,
-    workers: int = 1,
 ) -> MotionCurve:
     """Motion score of each consecutive frame pair, one entry per frame.
 
     Entry t scores the transition t -> t+1; the final entry duplicates its
-    predecessor so every frame index carries a score. Frame pairs are
-    independent, so ``workers`` > 1 fans them out over a thread pool without
-    changing the result.
+    predecessor so every frame index carries a score. Pairs are solved
+    serially, so each frame's pyramid is built once.
     """
     total = len(seq)
     if total < 2:
         raise TooShortError(f"need at least 2 frames, got {total}")
-    pairs = list(zip(seq.frames, seq.frames[1:]))
-
-    def score(pair):
-        return motion_score(estimate_flow(pair[0], pair[1], params), normalize=normalize)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(score, pairs))
-    else:
-        values = [score(p) for p in pairs]
+    values = [motion_score(f, normalize=normalize)
+              for f in _pair_flows(seq.frames, params or FlowParams())]
     values.append(values[-1])
     return MotionCurve(np.array(values), stage=STAGE_RAW)

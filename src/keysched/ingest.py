@@ -309,7 +309,9 @@ def read_schedule_json(path: str | Path) -> KeyframeSchedule:
     """Read a schedule JSON, re-validating every schedule invariant."""
     try:
         obj = json.loads(_read_text(path, "utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past
+        # Python's digit limit; RecursionError covers deep nesting
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")

@@ -167,3 +167,19 @@ def solve_level_oracle(a, b, u, v, alpha, iterations, eps):
         if delta < eps:
             break
     return u + du, v + dv
+
+
+def hs_energy_oracle(a, b_warped, u, v, alpha):
+    """Discrete Horn-Schunck energy of an increment (u, v) at one level.
+
+    The brightness-constancy residual is linearized around the warped second
+    frame; smoothness uses forward differences.
+    """
+    avg = (a + b_warped) / 2.0
+    ix, iy = gradients_oracle(avg)
+    it = b_warped - a
+    data = (ix * u + iy * v + it) ** 2
+    smooth = np.zeros_like(u)
+    smooth[:, :-1] += np.diff(u, axis=1) ** 2 + np.diff(v, axis=1) ** 2
+    smooth[:-1, :] += np.diff(u, axis=0) ** 2 + np.diff(v, axis=0) ** 2
+    return float(np.sum(data) + alpha ** 2 * np.sum(smooth))

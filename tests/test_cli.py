@@ -169,6 +169,10 @@ class TestPlotCommand:
     @pytest.mark.parametrize("payload", [
         '{"total_frames": 1e400, "keyframes": [0]}',
         '{"total_frames": 8, "keyframes": [0, 1e400]}',
+        # past the parser's recursion limit and past Python's int-string digit limit
+        pytest.param("[" * 100000, id="deep-nesting"),
+        pytest.param('{"total_frames": ' + "9" * 5000 + ', "keyframes": [0]}',
+                     id="long-integer"),
     ])
     def test_overflowing_schedule_exits_2(self, payload, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -179,16 +183,6 @@ class TestPlotCommand:
         assert run(["plot", "--scores", scores, "--schedule", sched, "--out", out]) == 2
         assert not out.exists()
         assert "keysched plot:" in capsys.readouterr().err
-
-
-class TestThreadCap:
-    def test_thread_env_does_not_change_output(self, pgm_dir, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        run(["score", "--frames", pgm_dir, "--normalize", "--out", serial])
-        monkeypatch.setenv("KEYSCHED_THREADS", "4")
-        run(["score", "--frames", pgm_dir, "--normalize", "--out", threaded])
-        assert serial.read_bytes() == threaded.read_bytes()
 
 
 class TestDeterminism:

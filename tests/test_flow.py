@@ -7,7 +7,7 @@ import pytest
 from conftest import moving_square_frames
 from keysched import errors, flow
 from keysched.ingest import Frame, FrameSequence
-from oracles import solve_level_oracle, translated_texture
+from oracles import hs_energy_oracle, solve_level_oracle, translated_texture
 
 
 def as_frame(pixels):
@@ -37,10 +37,11 @@ class TestEstimateFlow:
         assert np.abs(field.u[INTERIOR]).mean() < 0.25
 
     def test_dimension_mismatch(self):
-        a = as_frame(np.zeros((32, 32)))
-        b = as_frame(np.zeros((32, 48)))
+        # both sizes are also too small for three levels; the mismatch wins
+        a = as_frame(np.zeros((16, 16)))
+        b = as_frame(np.zeros((16, 24)))
         with pytest.raises(errors.DimensionMismatchError):
-            flow.estimate_flow(a, b)
+            flow.estimate_flow(a, b, flow.FlowParams(pyramid_levels=3))
 
     def test_too_small_for_pyramid(self):
         a = as_frame(np.zeros((16, 16)))
@@ -62,7 +63,7 @@ class TestEstimateFlow:
             params = flow.FlowParams(iterations=iters, pyramid_levels=1,
                                      convergence_eps=0.0)
             field = flow.estimate_flow(as_frame(base), as_frame(shifted), params)
-            energies.append(flow.hs_energy(base, shifted, field.u, field.v, alpha_eff))
+            energies.append(hs_energy_oracle(base, shifted, field.u, field.v, alpha_eff))
         for before, after in zip(energies, energies[1:]):
             assert after <= before + 1e-12 * max(1.0, abs(before))
 
@@ -189,13 +190,18 @@ class TestMotionCurve:
         with pytest.raises(errors.TooShortError):
             flow.motion_curve(seq)
 
-    def test_workers_do_not_change_result(self):
-        base, right, down = translated_texture(height=32, width=32)
-        seq = FrameSequence(frames=[as_frame(base), as_frame(right),
-                                    as_frame(down), as_frame(base)])
-        serial = flow.motion_curve(seq, workers=1)
-        threaded = flow.motion_curve(seq, workers=4)
-        assert np.array_equal(serial.values, threaded.values)
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_each_pyramid_built_once(self, synthetic_clip, monkeypatch, levels):
+        calls = []
+        downsample = flow._downsample
+
+        def counting(img):
+            calls.append(img.shape)
+            return downsample(img)
+
+        monkeypatch.setattr(flow, "_downsample", counting)
+        flow.motion_curve(synthetic_clip, flow.FlowParams(pyramid_levels=levels))
+        assert len(calls) == len(synthetic_clip) * (levels - 1)
 
 
 GOLDEN_FLOW_SCORES = Path(__file__).parent / "golden" / "flow_scores.json"
@@ -259,3 +265,12 @@ class TestGoldenScores:
         expected = json.loads(GOLDEN_FLOW_SCORES.read_text())[name]
         curve = flow.motion_curve(GOLDEN_CLIPS[name](), normalize=False)
         assert [repr(x) for x in curve.values.tolist()] == expected
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CLIPS))
+    def test_curve_matches_pairwise_estimates(self, name):
+        seq = GOLDEN_CLIPS[name]()
+        frames = seq.frames
+        curve = flow.motion_curve(seq, normalize=False)
+        pairwise = [flow.motion_score(flow.estimate_flow(a, b), normalize=False)
+                    for a, b in zip(frames, frames[1:])]
+        assert curve.values.tobytes() == np.array(pairwise + pairwise[-1:]).tobytes()

@@ -2,10 +2,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keysched import errors, ingest
+from keysched import errors, evaluate, ingest
 from keysched.motion import MotionCurve
 from keysched.selection import KeyframeSchedule
 
@@ -241,3 +241,66 @@ class TestScheduleJson:
         path = tmp_path_factory.mktemp("json") / "rt.json"
         ingest.write_schedule_json(sched, path)
         assert ingest.read_schedule_json(path) == sched
+
+
+# schedule payloads the JSON parser itself rejects: nesting past the recursion
+# limit, and an integer literal past Python's int-string digit limit
+DEEP_NESTING = b"[" * 100000
+LONG_INTEGER = b'{"total_frames": ' + b"9" * 5000 + b', "keyframes": [0]}'
+
+
+def _splice(seed, cut, edits):
+    """``seed`` truncated at ``cut``, then each chunk written over it at its offset."""
+    data = bytearray(seed[:cut])
+    for pos, chunk in edits:
+        pos = min(pos, len(data))
+        data[pos:pos + len(chunk)] = chunk
+    return bytes(data)
+
+
+def fuzzed(seed):
+    """Arbitrary bytes, or a valid file truncated and overwritten in places."""
+    edits = st.lists(st.tuples(st.integers(0, len(seed)), st.binary(min_size=1, max_size=8)),
+                     max_size=4)
+    return st.one_of(st.binary(max_size=256),
+                     st.builds(_splice, st.just(seed), st.integers(0, len(seed)), edits))
+
+
+class TestReadersFuzz:
+    """Whatever the bytes, a reader returns or raises a KeyschedError."""
+
+    def check(self, reader, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "input"
+        path.write_bytes(data)
+        try:
+            reader(path)
+        except errors.KeyschedError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=fuzzed(make_pgm_bytes(3, 2, bytes(range(0, 60, 10)))))
+    def test_read_pgm(self, data, tmp_path_factory):
+        self.check(ingest.read_pgm, data, tmp_path_factory)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=fuzzed(make_wav_bytes([0, 1000, -1000, 32767, -32768])))
+    def test_load_wav(self, data, tmp_path_factory):
+        self.check(ingest.load_wav, data, tmp_path_factory)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=fuzzed(b"index,score\n0,0.25\n1,1e-3\n"))
+    def test_read_scores_csv(self, data, tmp_path_factory):
+        self.check(ingest.read_scores_csv, data, tmp_path_factory)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=fuzzed(b'{"total_frames": 8, "keyframes": [0, 3, 7], "peaks": [3], '
+                       b'"valleys": [], "fill": [7]}'))
+    @example(data=DEEP_NESTING)
+    @example(data=LONG_INTEGER)
+    def test_read_schedule_json(self, data, tmp_path_factory):
+        self.check(ingest.read_schedule_json, data, tmp_path_factory)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=fuzzed(b"gt:10;20 pred:13\ngt: pred:4;5\n"))
+    def test_read_keypoint_instances(self, data, tmp_path_factory):
+        self.check(evaluate.read_keypoint_instances, data, tmp_path_factory)
