@@ -85,40 +85,34 @@ def mel_filterbank() -> np.ndarray:
     fft_freqs = np.arange(n_bins) * (PIPELINE_SAMPLE_RATE / WINDOW_SIZE)
     mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(FMAX), N_MELS + 2)
     hz_pts = np.array([_mel_to_hz(m) for m in mel_pts])
-    bank = np.zeros((N_MELS, n_bins))
-    for i in range(N_MELS):
-        lo, mid, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
-        rising = (fft_freqs - lo) / (mid - lo)
-        falling = (hi - fft_freqs) / (hi - mid)
-        bank[i] = np.maximum(0.0, np.minimum(rising, falling)) * (2.0 / (hi - lo))
-    return bank
+    lo, mid, hi = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
+    rising = (fft_freqs - lo) / (mid - lo)
+    falling = (hi - fft_freqs) / (hi - mid)
+    return np.maximum(0.0, np.minimum(rising, falling)) * (2.0 / (hi - lo))
 
 
 def mel_spectrogram(clip: AudioClip) -> MelSpectrogram:
     """Log-mel spectrogram with the time axis fixed to 196 frames.
 
-    Framing is left-aligned with no centering; a longer clip is right-cropped
-    and a shorter one zero-padded (silence) to the target frame count.
+    Framing is left-aligned with no centering. Only the first
+    ``WINDOW_SIZE + (TARGET_FRAMES - 1) * HOP_SIZE`` (31 600) samples reach
+    a kept window, so only they are framed; a clip with fewer than 196
+    windows is zero-padded (silence) to the target frame count.
     """
     if clip.sample_rate != PIPELINE_SAMPLE_RATE:
         raise WrongSampleRateError(
             f"need {PIPELINE_SAMPLE_RATE} Hz audio, got {clip.sample_rate}"
         )
-    samples = clip.samples
-    if samples.size < WINDOW_SIZE:
-        raise ClipTooShortError(f"need >= {WINDOW_SIZE} samples, got {samples.size}")
+    if clip.samples.size < WINDOW_SIZE:
+        raise ClipTooShortError(f"need >= {WINDOW_SIZE} samples, got {clip.samples.size}")
+    samples = clip.samples[:WINDOW_SIZE + (TARGET_FRAMES - 1) * HOP_SIZE]
     n_frames = (samples.size - WINDOW_SIZE) // HOP_SIZE + 1
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SIZE) / WINDOW_SIZE)
     starts = np.arange(n_frames) * HOP_SIZE
     frames = samples[starts[:, None] + np.arange(WINDOW_SIZE)] * window
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
-    mel = mel_filterbank() @ power.T
-    mel = np.log1p(mel)
-    if mel.shape[1] >= TARGET_FRAMES:
-        mel = mel[:, :TARGET_FRAMES]
-    else:
-        mel = np.pad(mel, ((0, 0), (0, TARGET_FRAMES - mel.shape[1])))
-    return MelSpectrogram(values=mel)
+    mel = np.log1p(mel_filterbank() @ power.T)
+    return MelSpectrogram(values=np.pad(mel, ((0, 0), (0, TARGET_FRAMES - n_frames))))
 
 
 def mel_csv_text(spec: MelSpectrogram) -> str:

@@ -44,7 +44,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_spectrogram(args) -> int:
-    clip = ingest.load_wav(args.wav, strict_rate=True)
+    clip = ingest.load_wav(args.wav)
     spec = audiofeat.mel_spectrogram(clip)
     _atomic_write_text(args.out, audiofeat.mel_csv_text(spec))
     return 0

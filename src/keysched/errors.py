@@ -67,10 +67,6 @@ class UnsupportedChannelsError(IngestError):
     """WAV file is not mono."""
 
 
-class UnsupportedRateError(IngestError):
-    """WAV sample rate rejected under strict-rate loading."""
-
-
 class ParseError(IngestError):
     """Malformed CSV/JSON payload."""
 

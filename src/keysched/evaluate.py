@@ -49,32 +49,27 @@ def match_keypoints(gt: list[int], pred: list[int], threshold: float,
     """Size of the maximum one-to-one matching within the distance threshold.
 
     A pair (g, p) is admissible when |g - p| <= threshold, or strictly below
-    it with ``strict``. Solved exactly with augmenting paths; instances are
-    small enough that the quadratic behavior never matters.
+    it with ``strict``. Every g admits an interval of one width around it, so
+    one sweep over both sorted lists that pairs each g with the lowest
+    unmatched admissible p finds a maximum matching, in linear time after
+    the sort.
     """
-    if threshold < 0:
-        raise InvariantViolationError("threshold must be >= 0")
+    if not threshold >= 0:
+        raise InvariantViolationError(f"threshold must be >= 0, got {threshold}")
 
     def admissible(g: int, p: int) -> bool:
         d = abs(g - p)
         return d < threshold if strict else d <= threshold
 
-    edges = [[p for p, pv in enumerate(pred) if admissible(gv, pv)] for gv in gt]
-    owner = [-1] * len(pred)
-
-    def augment(g: int, seen: list[bool]) -> bool:
-        for p in edges[g]:
-            if not seen[p]:
-                seen[p] = True
-                if owner[p] == -1 or augment(owner[p], seen):
-                    owner[p] = g
-                    return True
-        return False
-
-    matched = 0
-    for g in range(len(gt)):
-        if augment(g, [False] * len(pred)):
+    pred = sorted(pred)
+    matched = j = 0
+    for g in sorted(gt):
+        # a p below g that g cannot reach is out of reach of every later g
+        while j < len(pred) and pred[j] < g and not admissible(g, pred[j]):
+            j += 1
+        if j < len(pred) and admissible(g, pred[j]):
             matched += 1
+            j += 1
     return matched
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvariantViolationError, TooShortError, TooSmallError
+from .errors import InvariantViolationError, TooShortError, TooSmallError
 from .ingest import Frame, FrameSequence
 from .motion import MotionCurve, STAGE_RAW
 
@@ -204,17 +204,14 @@ def _solve_level(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
     return u + cur[0, 1:-1, 1:-1], v + cur[1, 1:-1, 1:-1]
 
 
-def _pair_flows(frames: Sequence[Frame], params: FlowParams) -> Iterator[FlowField]:
+def _pair_flows(seq: FrameSequence, params: FlowParams) -> Iterator[FlowField]:
     """Coarse-to-fine flow of each consecutive frame pair, in order.
 
-    The frame sizes and the coarsest level are checked once, before any
-    solve. Each frame's pyramid is built once; only the previous frame's
-    stays live while the next pair is solved.
+    The sequence already holds frames of one size; the coarsest level is
+    checked once, before any solve. Each frame's pyramid is built once; only
+    the previous frame's stays live while the next pair is solved.
     """
-    h, w = frames[0].height, frames[0].width
-    for f in frames[1:]:
-        if (f.height, f.width) != (h, w):
-            raise DimensionMismatchError(f"frames differ: {h}x{w} vs {f.height}x{f.width}")
+    h, w = seq.height, seq.width
     levels = params.pyramid_levels
     coarse_h, coarse_w = h >> (levels - 1), w >> (levels - 1)
     if coarse_h < MIN_COARSE_SIZE or coarse_w < MIN_COARSE_SIZE:
@@ -224,7 +221,7 @@ def _pair_flows(frames: Sequence[Frame], params: FlowParams) -> Iterator[FlowFie
         )
     alpha = params.alpha / 255.0
     prev = None
-    for frame in frames:
+    for frame in seq.frames:
         pyr = [frame.pixels]
         for _ in range(levels - 1):
             pyr.append(_downsample(pyr[-1]))
@@ -251,7 +248,7 @@ def estimate_flow(a: Frame, b: Frame, params: FlowParams | None = None) -> FlowF
     The returned (u, v) displace content of ``a`` onto ``b``: content moving
     one pixel right yields u near +1.
     """
-    return next(_pair_flows([a, b], params or FlowParams()))
+    return next(_pair_flows(FrameSequence([a, b]), params or FlowParams()))
 
 
 def motion_score(flow: FlowField, normalize: bool = True) -> float:
@@ -277,6 +274,6 @@ def motion_curve(
     if total < 2:
         raise TooShortError(f"need at least 2 frames, got {total}")
     values = [motion_score(f, normalize=normalize)
-              for f in _pair_flows(seq.frames, params or FlowParams())]
+              for f in _pair_flows(seq, params or FlowParams())]
     values.append(values[-1])
     return MotionCurve(np.array(values), stage=STAGE_RAW)

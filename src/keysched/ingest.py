@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     UnsupportedChannelsError,
     UnsupportedEncodingError,
-    UnsupportedRateError,
 )
 from .motion import MotionCurve, STAGE_RAW
 from .selection import KeyframeSchedule
@@ -162,11 +161,11 @@ def load_frame_sequence(directory: str | Path, fps: float = 24.0) -> FrameSequen
 
 # --- WAV ---
 
-def load_wav(path: str | Path, strict_rate: bool = False) -> AudioClip:
+def load_wav(path: str | Path) -> AudioClip:
     """Parse a RIFF/WAVE PCM16 mono file; samples map to value/32768.
 
-    With ``strict_rate`` any rate other than 16 kHz is rejected; otherwise
-    the actual rate is passed through for the caller to validate.
+    Any sample rate loads as read; ``audiofeat.mel_spectrogram`` is the one
+    place that requires 16 kHz.
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -192,8 +191,6 @@ def load_wav(path: str | Path, strict_rate: bool = False) -> AudioClip:
         raise UnsupportedEncodingError(f"{path}: need PCM16, got format {audio_format}/{bits}-bit")
     if channels != 1:
         raise UnsupportedChannelsError(f"{path}: need mono, got {channels} channels")
-    if strict_rate and rate != PIPELINE_SAMPLE_RATE:
-        raise UnsupportedRateError(f"{path}: need {PIPELINE_SAMPLE_RATE} Hz, got {rate}")
     raw = np.frombuffer(payload[:len(payload) - (len(payload) % 2)], dtype="<i2")
     if raw.size < 1:
         raise UnsupportedEncodingError(f"{path}: empty data chunk")

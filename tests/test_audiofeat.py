@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +12,27 @@ from keysched.ingest import AudioClip
 from keysched.selection import KeyframeSchedule
 from oracles import mel_band_oracle
 
+GOLDEN_MEL = Path(__file__).parent / "golden" / "mel.json"
+# the last kept window ends at sample 31 600
+FRAMED_SAMPLES = audiofeat.WINDOW_SIZE + (audiofeat.TARGET_FRAMES - 1) * audiofeat.HOP_SIZE
+
 
 def tone_clip(freq=1000.0, seconds=2.0, rate=16000):
     t = np.arange(int(seconds * rate)) / rate
     return AudioClip(samples=0.9 * np.sin(2 * np.pi * freq * t), sample_rate=rate)
+
+
+def seeded_clip(n_samples, seed=None):
+    """Two tones plus uniform noise, seeded by the length unless given."""
+    rng = np.random.default_rng(n_samples if seed is None else seed)
+    t = np.arange(n_samples) / 16000.0
+    samples = (0.4 * np.sin(2 * np.pi * 440.0 * t) + 0.3 * np.sin(2 * np.pi * 2500.0 * t)
+               + 0.2 * rng.uniform(-1.0, 1.0, n_samples))
+    return AudioClip(samples=samples, sample_rate=16000)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestMelSpectrogram:
@@ -45,6 +66,32 @@ class TestMelSpectrogram:
         clip = AudioClip(samples=np.zeros(399), sample_rate=16000)
         with pytest.raises(errors.ClipTooShortError):
             audiofeat.mel_spectrogram(clip)
+
+    @settings(max_examples=25, deadline=None)
+    @given(extra=st.integers(min_value=1, max_value=200_000),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_long_clip_equals_its_framed_prefix(self, extra, seed):
+        # only the first 31 600 samples reach a kept window, so nothing past
+        # them may move a value, not even by BLAS blocking
+        clip = seeded_clip(FRAMED_SAMPLES + extra, seed)
+        prefix = AudioClip(samples=clip.samples[:FRAMED_SAMPLES], sample_rate=16000)
+        full = audiofeat.mel_spectrogram(clip).values
+        assert np.array_equal(full, audiofeat.mel_spectrogram(prefix).values)
+
+
+class TestMelGoldens:
+    """Bytes pinned by ``tests/golden/mel.json``. A moved CSV hash is a
+    numeric change to report, not a golden to recapture."""
+
+    golden = json.loads(GOLDEN_MEL.read_text())
+
+    def test_filterbank_bytes_match_golden(self):
+        assert sha256(audiofeat.mel_filterbank().tobytes()) == self.golden["filterbank"]
+
+    @pytest.mark.parametrize("n_samples", [400, 16_000, 31_600, 31_601, 96_000, 960_000])
+    def test_csv_bytes_match_golden(self, n_samples):
+        text = audiofeat.mel_csv_text(audiofeat.mel_spectrogram(seeded_clip(n_samples)))
+        assert sha256(text.encode("ascii")) == self.golden["mel_csv"][str(n_samples)]
 
 
 class TestMelFilterbank:

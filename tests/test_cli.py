@@ -91,10 +91,13 @@ class TestSpectrogramCommand:
         assert len(rows) == 128
         assert all(len(r.split(",")) == 196 for r in rows)
 
-    def test_wrong_rate_exits_2(self, tmp_path):
+    def test_wrong_rate_exits_5_without_output(self, tmp_path, capsys):
         wav = tmp_path / "cd.wav"
         ingest.write_wav(ingest.AudioClip(samples=np.zeros(1000), sample_rate=44100), wav)
-        assert run(["spectrogram", "--wav", wav, "--out", tmp_path / "m.csv"]) == 2
+        out = tmp_path / "m.csv"
+        assert run(["spectrogram", "--wav", wav, "--out", out]) == 5
+        assert not out.exists()
+        assert "keysched spectrogram: need 16000 Hz audio, got 44100" in capsys.readouterr().err
 
     def test_sub_window_clip_exits_5_without_output(self, tmp_path):
         wav = tmp_path / "short.wav"
@@ -144,6 +147,22 @@ class TestEvalApCommand:
         inst.write_text("gt:10 pred:13\n")
         run(["eval-ap", "--instances", inst, "--t", "3", "--strict"])
         assert capsys.readouterr().out.strip() == "0.000000"
+
+    def test_two_thousand_interleaved_pairs_match_fully(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        gt = ";".join(str(i) for i in range(0, 4000, 2))
+        pred = ";".join(str(i) for i in range(1, 4000, 2))
+        inst.write_text(f"gt:{gt} pred:{pred}\n")
+        assert run(["eval-ap", "--instances", inst, "--t", "2"]) == 0
+        assert capsys.readouterr().out.strip() == "1.000000"
+
+    def test_nan_threshold_exits_2(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        inst.write_text("gt:10 pred:13\n")
+        assert run(["eval-ap", "--instances", inst, "--t", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "keysched eval-ap:" in captured.err
 
 
 class TestPlotCommand:
@@ -245,7 +264,7 @@ class TestGoldenSchedules:
 EXPECTED_EXIT = {
     "EmptyDirectoryError": 2, "MalformedPgmError": 2, "DimensionMismatchError": 2,
     "UnsupportedEncodingError": 2, "UnsupportedChannelsError": 2,
-    "UnsupportedRateError": 2, "ParseError": 2, "InvariantViolationError": 2,
+    "ParseError": 2, "InvariantViolationError": 2,
     "OSError": 2,
     "TooSmallError": 3, "TooShortError": 3,
     "InvalidKError": 4, "InconsistentExtremaError": 4, "BadIntervalError": 4,

@@ -24,13 +24,21 @@ class TestMatchKeypoints:
         assert evaluate.match_keypoints([1, 2], [], 3) == 0
 
     def test_matches_bruteforce_on_random_instances(self):
+        # unsorted lists with duplicates, integer and half-integer thresholds,
+        # inclusive and strict
         rng = np.random.default_rng(77)
-        for _ in range(300):
-            gt = sorted(rng.integers(0, 48, rng.integers(0, 7)).tolist())
-            pred = sorted(rng.integers(0, 48, rng.integers(0, 7)).tolist())
-            t = int(rng.integers(0, 8))
-            assert evaluate.match_keypoints(gt, pred, t) == \
-                max_matching_oracle(gt, pred, t)
+        for _ in range(600):
+            gt = rng.integers(0, 48, rng.integers(0, 7)).tolist()
+            pred = rng.integers(0, 48, rng.integers(0, 7)).tolist()
+            t = int(rng.integers(0, 16)) / 2
+            strict = bool(rng.integers(0, 2))
+            assert evaluate.match_keypoints(gt, pred, t, strict=strict) == \
+                max_matching_oracle(gt, pred, t, strict=strict)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.5])
+    def test_nan_or_negative_threshold_rejected(self, threshold):
+        with pytest.raises(errors.InvariantViolationError):
+            evaluate.match_keypoints([1], [1], threshold)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(78)
