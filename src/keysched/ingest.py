@@ -8,8 +8,10 @@ byte-stable output, and every text file is written by ``_atomic_write_text``.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,24 +100,15 @@ class AudioClip:
 
 # --- PGM ---
 
-def _read_pgm_tokens(data: bytes, count: int, pos: int):
-    """Read whitespace-separated header tokens, skipping '#' comments."""
-    tokens = []
-    n = len(data)
-    while len(tokens) < count:
-        while pos < n and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < n and data[pos:pos + 1] == b"#":
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < n and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise MalformedPgmError("truncated PGM header")
-        tokens.append(data[start:pos])
-    return tokens, pos
+# "P5", then width, height and maxval in ASCII decimal, separated by
+# whitespace and '#' comments that run to the end of the line. Each number
+# ends at a whitespace byte; the one after maxval is the last header byte.
+_PGM_HEADER = re.compile(
+    rb"P5(?:\s|#[^\n]*\n)+"
+    rb"([0-9]+)\s(?:\s|#[^\n]*\n)*"
+    rb"([0-9]+)\s(?:\s|#[^\n]*\n)*"
+    rb"([0-9]+)\s"
+)
 
 
 def read_pgm(path: str | Path) -> Frame:
@@ -124,19 +117,18 @@ def read_pgm(path: str | Path) -> Frame:
     Pixel values are exactly byte/255, preserving bit-level content.
     """
     data = Path(path).read_bytes()
-    if data[:2] != b"P5":
-        raise MalformedPgmError(f"{path}: not a binary PGM (bad magic)")
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise MalformedPgmError(f"{path}: not a binary PGM header (P5 width height 255)")
     try:
-        (w_tok, h_tok, maxval_tok), pos = _read_pgm_tokens(data, 3, 2)
-        width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
-    except (ValueError, MalformedPgmError) as exc:
+        width, height, maxval = map(int, header.groups())
+    except ValueError as exc:  # a number past Python's int-string digit limit
         raise MalformedPgmError(f"{path}: {exc}") from exc
     if maxval != 255:
         raise MalformedPgmError(f"{path}: maxval must be 255, got {maxval}")
     if width < 1 or height < 1:
         raise MalformedPgmError(f"{path}: non-positive dimensions {width}x{height}")
-    pos += 1  # single whitespace byte separates header and raster
-    raster = data[pos:pos + width * height]
+    raster = data[header.end():header.end() + width * height]
     if len(raster) != width * height:
         raise MalformedPgmError(f"{path}: raster truncated")
     pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / 255.0
@@ -263,26 +255,25 @@ def write_scores_csv(curve: MotionCurve, path: str | Path) -> None:
 
 def read_scores_csv(path: str | Path) -> MotionCurve:
     """Read a scores CSV back into a raw-stage MotionCurve."""
-    text = _read_text(path, "ascii")
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ParseError(f"{path}: missing '{CSV_HEADER}' header row")
-    values = []
-    for row, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{path}: row {row} is not 'index,score'")
-        try:
-            idx = int(parts[0])
-            score = float(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {row}: {exc}") from exc
-        if idx != row:
-            raise ParseError(f"{path}: row {row} carries index {idx}")
-        values.append(score)
-    if not values:
+    header, _, body = _read_text(path, "ascii").partition("\n")
+    if header != CSV_HEADER:
+        raise ParseError(f"{path}: first line is not the '{CSV_HEADER}' header")
+    if not body.strip():
         raise ParseError(f"{path}: no score rows")
-    return MotionCurve(np.array(values), stage=STAGE_RAW)
+    # NumPy's number parsers skip the ASCII separators \x1c-\x1f as
+    # whitespace; int() and float() do not, and neither does this format
+    if any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+        raise ParseError(f"{path}: control byte in a score row")
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                          dtype=[("index", np.int64), ("score", np.float64)])
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    misplaced = np.flatnonzero(rows["index"] != np.arange(rows.size))
+    if misplaced.size:
+        row = misplaced[0]
+        raise ParseError(f"{path}: row {row} carries index {rows['index'][row]}")
+    return MotionCurve(np.ascontiguousarray(rows["score"]), stage=STAGE_RAW)
 
 
 # --- schedule JSON ---
@@ -313,16 +304,15 @@ def read_schedule_json(path: str | Path) -> KeyframeSchedule:
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
     try:
-        fields = {
-            "total_frames": obj["total_frames"],
-            "keyframes": obj["keyframes"],
-            "peaks_used": obj.get("peaks", []),
-            "valleys_used": obj.get("valleys", []),
-            "fill": obj.get("fill", []),
-        }
+        total, keyframes = obj["total_frames"], obj["keyframes"]
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
-    try:
-        return KeyframeSchedule(**fields)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    arrays = {"keyframes": keyframes, **{k: obj.get(k, []) for k in ("peaks", "valleys", "fill")}}
+    # json.loads yields int for integer literals and bool for true/false;
+    # type() tells them apart where isinstance() would not
+    if type(total) is not int:
+        raise ParseError(f"{path}: total_frames must be an integer")
+    for name, value in arrays.items():
+        if type(value) is not list or any(type(i) is not int for i in value):
+            raise ParseError(f"{path}: {name} must be an array of integers")
+    return KeyframeSchedule(total, *arrays.values())

@@ -78,19 +78,14 @@ def render_plot(spec: PlotSpec) -> str:
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="{CURVE_COLOR}" stroke-width="1.5"/>'
     )
-    for idx in spec.extrema.peaks:
-        x, y = sx(idx), sy(values[idx])
-        parts.append(
-            f'<polygon points="{_fmt(x)},{_fmt(y - MARK_SIZE)} '
-            f'{_fmt(x - MARK_SIZE)},{_fmt(y + MARK_SIZE)} '
-            f'{_fmt(x + MARK_SIZE)},{_fmt(y + MARK_SIZE)}" fill="{PEAK_COLOR}"/>'
-        )
-    for idx in spec.extrema.valleys:
-        x, y = sx(idx), sy(values[idx])
-        parts.append(
-            f'<polygon points="{_fmt(x)},{_fmt(y + MARK_SIZE)} '
-            f'{_fmt(x - MARK_SIZE)},{_fmt(y - MARK_SIZE)} '
-            f'{_fmt(x + MARK_SIZE)},{_fmt(y - MARK_SIZE)}" fill="{VALLEY_COLOR}"/>'
-        )
+    marks = ((spec.extrema.peaks, 1, PEAK_COLOR), (spec.extrema.valleys, -1, VALLEY_COLOR))
+    for indices, d, color in marks:
+        for idx in indices:
+            x, y = sx(idx), sy(values[idx])
+            parts.append(
+                f'<polygon points="{_fmt(x)},{_fmt(y - d * MARK_SIZE)} '
+                f'{_fmt(x - MARK_SIZE)},{_fmt(y + d * MARK_SIZE)} '
+                f'{_fmt(x + MARK_SIZE)},{_fmt(y + d * MARK_SIZE)}" fill="{color}"/>'
+            )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

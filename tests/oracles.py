@@ -6,8 +6,13 @@ code paths it verifies.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
+
+from keysched.errors import MalformedPgmError, ParseError
+from keysched.ingest import CSV_HEADER, Frame, _read_text
+from keysched.motion import STAGE_RAW, MotionCurve
 
 
 def translated_texture(height=64, width=64, period=16.0):
@@ -183,3 +188,76 @@ def hs_energy_oracle(a, b_warped, u, v, alpha):
     smooth[:, :-1] += np.diff(u, axis=1) ** 2 + np.diff(v, axis=1) ** 2
     smooth[:-1, :] += np.diff(u, axis=0) ** 2 + np.diff(v, axis=0) ** 2
     return float(np.sum(data) + alpha ** 2 * np.sum(smooth))
+
+
+# The readers ingest.read_pgm and ingest.read_scores_csv replaced, kept
+# verbatim: a byte-at-a-time header tokenizer and a per-row CSV loop. The
+# library readers must load every input these accept with the same bytes,
+# except the inputs their stricter grammars reject (see README "File formats").
+def _read_pgm_tokens(data: bytes, count: int, pos: int):
+    """Read whitespace-separated header tokens, skipping '#' comments."""
+    tokens = []
+    n = len(data)
+    while len(tokens) < count:
+        while pos < n and data[pos:pos + 1].isspace():
+            pos += 1
+        if pos < n and data[pos:pos + 1] == b"#":
+            while pos < n and data[pos:pos + 1] != b"\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < n and not data[pos:pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise MalformedPgmError("truncated PGM header")
+        tokens.append(data[start:pos])
+    return tokens, pos
+
+
+def read_pgm_oracle(path: str | Path) -> Frame:
+    """Parse one binary PGM (P5, maxval 255) into a Frame.
+
+    Pixel values are exactly byte/255, preserving bit-level content.
+    """
+    data = Path(path).read_bytes()
+    if data[:2] != b"P5":
+        raise MalformedPgmError(f"{path}: not a binary PGM (bad magic)")
+    try:
+        (w_tok, h_tok, maxval_tok), pos = _read_pgm_tokens(data, 3, 2)
+        width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+    except (ValueError, MalformedPgmError) as exc:
+        raise MalformedPgmError(f"{path}: {exc}") from exc
+    if maxval != 255:
+        raise MalformedPgmError(f"{path}: maxval must be 255, got {maxval}")
+    if width < 1 or height < 1:
+        raise MalformedPgmError(f"{path}: non-positive dimensions {width}x{height}")
+    pos += 1  # single whitespace byte separates header and raster
+    raster = data[pos:pos + width * height]
+    if len(raster) != width * height:
+        raise MalformedPgmError(f"{path}: raster truncated")
+    pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / 255.0
+    return Frame(height=height, width=width, pixels=pixels.reshape(height, width))
+
+
+def read_scores_csv_oracle(path: str | Path) -> MotionCurve:
+    """Read a scores CSV back into a raw-stage MotionCurve."""
+    text = _read_text(path, "ascii")
+    lines = [ln for ln in text.split("\n") if ln]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ParseError(f"{path}: missing '{CSV_HEADER}' header row")
+    values = []
+    for row, line in enumerate(lines[1:]):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"{path}: row {row} is not 'index,score'")
+        try:
+            idx = int(parts[0])
+            score = float(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}: row {row}: {exc}") from exc
+        if idx != row:
+            raise ParseError(f"{path}: row {row} carries index {idx}")
+        values.append(score)
+    if not values:
+        raise ParseError(f"{path}: no score rows")
+    return MotionCurve(np.array(values), stage=STAGE_RAW)

@@ -192,6 +192,9 @@ class TestPlotCommand:
         pytest.param("[" * 100000, id="deep-nesting"),
         pytest.param('{"total_frames": ' + "9" * 5000 + ', "keyframes": [0]}',
                      id="long-integer"),
+        # not an overflow: a float index that would mark a keyframe the file never listed
+        pytest.param('{"total_frames": 8.9, "keyframes": [0, 3.7], "peaks": [3.2], '
+                     '"valleys": [], "fill": []}', id="float-index"),
     ])
     def test_overflowing_schedule_exits_2(self, payload, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -202,6 +205,14 @@ class TestPlotCommand:
         assert run(["plot", "--scores", scores, "--schedule", sched, "--out", out]) == 2
         assert not out.exists()
         assert "keysched plot:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_zero_canvas_exits_2(self, flag, tmp_path):
+        scores = tmp_path / "scores.csv"
+        ingest.write_scores_csv(MotionCurve(np.linspace(0.0, 1.0, 8)), scores)
+        out = tmp_path / "c.svg"
+        assert run(["plot", "--scores", scores, flag, 0, "--out", out]) == 2
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -1,4 +1,6 @@
+import pickle
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +10,18 @@ from hypothesis import strategies as st
 from keysched import errors, evaluate, ingest
 from keysched.motion import MotionCurve
 from keysched.selection import KeyframeSchedule
+from oracles import read_pgm_oracle, read_scores_csv_oracle
 
 
 def make_pgm_bytes(width, height, payload, maxval=255, magic=b"P5"):
     header = magic + f"\n{width} {height}\n{maxval}\n".encode()
     return header + payload
+
+
+# header separators: whitespace bytes and '#' comments running to the end of the line
+PGM_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+PGM_COMMENT = st.binary(max_size=8).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+PGM_GAP = st.lists(st.one_of(PGM_SPACE, PGM_COMMENT), max_size=4).map(b"".join)
 
 
 class TestReadPgm:
@@ -47,6 +56,37 @@ class TestReadPgm:
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(make_pgm_bytes(4, 4, bytes(3)))
+        with pytest.raises(errors.MalformedPgmError):
+            ingest.read_pgm(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_tokenizer_oracle(self, data, tmp_path_factory):
+        width, height = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+
+        def number(n):
+            return b"0" * data.draw(st.integers(0, 2)) + str(n).encode()
+
+        header = b"P5" + data.draw(st.lists(st.one_of(PGM_SPACE, PGM_COMMENT), min_size=1)
+                                   .map(b"".join))
+        for n in (width, height):
+            header += number(n) + data.draw(PGM_SPACE) + data.draw(PGM_GAP)
+        header += number(255) + data.draw(PGM_SPACE)
+        payload = data.draw(st.binary(min_size=width * height, max_size=width * height + 3))
+        path = tmp_path_factory.mktemp("pgm") / "h.pgm"
+        path.write_bytes(header + payload)
+        frame = ingest.read_pgm(path)
+        assert frame.pixels.tobytes() == read_pgm_oracle(path).pixels.tobytes()
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(make_pgm_bytes("+3", 2, bytes(6)), id="signed-width"),
+        pytest.param(make_pgm_bytes(3, 2, bytes(6), maxval="25_5"), id="underscore-maxval"),
+        pytest.param(b"P53 2\n255\n" + bytes(6), id="digit-after-magic"),
+    ])
+    def test_tightened_header_rejected(self, data, tmp_path):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(data)
+        read_pgm_oracle(path)  # the byte tokenizer accepted it
         with pytest.raises(errors.MalformedPgmError):
             ingest.read_pgm(path)
 
@@ -166,6 +206,42 @@ class TestScoresCsv:
         with pytest.raises(errors.InvariantViolationError):
             ingest.read_scores_csv(tmp_path / "neg.csv")
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("index,score\n0,0_5\n", id="underscore-score"),
+        pytest.param("\nindex,score\n0,0.5\n", id="blank-line-before-header"),
+        pytest.param("\r\n\r\nindex,score\r\n0,0.5\r\n", id="crlf-blank-lines-before-header"),
+    ])
+    def test_tightened_input_rejected(self, text, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        read_scores_csv_oracle(path)  # the per-row loop accepted it
+        with pytest.raises(errors.ParseError):
+            ingest.read_scores_csv(path)
+
+    @pytest.mark.parametrize("text", ["index,score\n", "index,score\n\n\n", "index,score\n \t\n"])
+    def test_blank_body_rejected_without_warning(self, text, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.ParseError):
+                ingest.read_scores_csv(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(min_value=0.0, allow_infinity=False),
+                                   st.sampled_from(["{!r}", "{:.9f}", "{:e}"]),
+                                   st.sampled_from(["", " ", "  "]),
+                                   st.sampled_from(["", " ", "  "])),
+                         min_size=1, max_size=32),
+           eol=st.sampled_from(["\n", "\r\n"]))
+    def test_matches_row_loop_oracle(self, rows, eol, tmp_path_factory):
+        lines = [ingest.CSV_HEADER] + [f"{lead}{i}{trail},{lead}{fmt.format(v)}{trail}"
+                                       for i, (v, fmt, lead, trail) in enumerate(rows)]
+        path = tmp_path_factory.mktemp("csv") / "any.csv"
+        path.write_bytes((eol.join(lines) + eol).encode())
+        back = ingest.read_scores_csv(path)
+        assert back.values.tobytes() == read_scores_csv_oracle(path).values.tobytes()
+
     @settings(max_examples=50, deadline=None)
     @given(values=st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
                            min_size=1, max_size=64))
@@ -222,6 +298,25 @@ class TestScheduleJson:
         with pytest.raises(errors.ParseError):
             ingest.read_schedule_json(tmp_path / "n.json")
 
+    @pytest.mark.parametrize("payload", [
+        pytest.param('{"total_frames": 8.9, "keyframes": [0, 3.7], "peaks": [3.2], '
+                     '"valleys": [], "fill": []}', id="floats"),
+        pytest.param('{"total_frames": true, "keyframes": [0]}', id="bool-total"),
+        pytest.param('{"total_frames": 8, "keyframes": [0, true], "fill": [true]}',
+                     id="bool-index"),
+        pytest.param('{"total_frames": 8, "keyframes": "05", "fill": [5]}', id="string-array"),
+        pytest.param('{"total_frames": 8, "keyframes": {"0": 1, "5": 1}, "fill": [5]}',
+                     id="object-array"),
+        pytest.param('{"total_frames": 8, "keyframes": [0, 5], "fill": "5"}',
+                     id="string-provenance"),
+        pytest.param('[0, 3]', id="top-level-array"),
+        pytest.param('{"total_frames": 8}', id="no-keyframes"),
+    ])
+    def test_schema_breaking_payload_rejected(self, payload, tmp_path):
+        (tmp_path / "s.json").write_text(payload)
+        with pytest.raises(errors.ParseError):
+            ingest.read_schedule_json(tmp_path / "s.json")
+
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_roundtrip_random_schedules(self, data, tmp_path_factory):
@@ -277,10 +372,37 @@ class TestReadersFuzz:
         except errors.KeyschedError:
             pass
 
+    def check_against(self, oracle, reader, data, tightened, tmp_path_factory):
+        """The reader fails where the oracle fails, with the same error class.
+
+        Where the oracle loads, the reader loads the same bytes, or rejects
+        an input that ``tightened`` flags as outside its stricter grammar.
+        """
+        path = tmp_path_factory.mktemp("fuzz") / "input"
+        path.write_bytes(data)
+        try:
+            expected = oracle(path)
+        except errors.KeyschedError as exc:
+            with pytest.raises(type(exc)):
+                reader(path)
+            return
+        try:
+            loaded = reader(path)
+        except errors.IngestError:
+            assert tightened(data)
+            return
+        assert pickle.dumps(loaded) == pickle.dumps(expected)  # fields and array bytes
+
     @settings(max_examples=200, deadline=None)
     @given(data=fuzzed(make_pgm_bytes(3, 2, bytes(range(0, 60, 10)))))
+    @example(data=make_pgm_bytes("+3", 2, bytes(6)))
+    @example(data=make_pgm_bytes(3, 2, bytes(6), maxval="25_5"))
+    @example(data=b"P53 2\n255\n" + bytes(6))
+    @example(data=make_pgm_bytes("9" * 5000, 2, bytes(4)))
     def test_read_pgm(self, data, tmp_path_factory):
-        self.check(ingest.read_pgm, data, tmp_path_factory)
+        self.check_against(read_pgm_oracle, ingest.read_pgm, data,
+                           lambda d: d[2:3].isdigit() or b"+" in d or b"_" in d,
+                           tmp_path_factory)
 
     @settings(max_examples=200, deadline=None)
     @given(data=fuzzed(make_wav_bytes([0, 1000, -1000, 32767, -32768])))
@@ -289,8 +411,14 @@ class TestReadersFuzz:
 
     @settings(max_examples=200, deadline=None)
     @given(data=fuzzed(b"index,score\n0,0.25\n1,1e-3\n"))
+    @example(data=b"index,score\n0,0_5\n")
+    @example(data=b"\nindex,score\n0,0.5\n")
+    @example(data=b"index,score\n \n\n")
+    @example(data=b"index,score\n0,\x1c0.5\n")
     def test_read_scores_csv(self, data, tmp_path_factory):
-        self.check(ingest.read_scores_csv, data, tmp_path_factory)
+        self.check_against(read_scores_csv_oracle, ingest.read_scores_csv, data,
+                           lambda d: b"_" in d or d[:1] in (b"\n", b"\r"),
+                           tmp_path_factory)
 
     @settings(max_examples=200, deadline=None)
     @given(data=fuzzed(b'{"total_frames": 8, "keyframes": [0, 3, 7], "peaks": [3], '

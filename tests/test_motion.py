@@ -93,6 +93,15 @@ class TestDetectPeaks:
         curve = bumpy_curve(bumps=((10, 1.0), (13, 0.8)))
         assert motion.detect_peaks(curve) == [10]
 
+    @pytest.mark.parametrize("peaks, valleys", [
+        pytest.param([-1, 4], [], id="negative-peak"),
+        pytest.param([], [7, 3], id="unsorted-valleys"),
+        pytest.param([4, 4], [], id="duplicate-peaks"),
+    ])
+    def test_extrema_rejects_bad_indices(self, peaks, valleys):
+        with pytest.raises(errors.InvariantViolationError):
+            motion.Extrema(peaks=peaks, valleys=valleys)
+
     def test_flat_curve_has_no_peaks(self):
         assert motion.detect_peaks(normalized(np.zeros(20))) == []
 

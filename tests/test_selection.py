@@ -157,6 +157,15 @@ class TestSelectKeyframes:
         with pytest.raises(errors.InvalidKError):
             selection.SelectionParams(1)
 
+    @pytest.mark.parametrize("fields", [
+        pytest.param(dict(keyframes=[2, 5], peaks_used=[2, 5]), id="no-frame-0"),
+        pytest.param(dict(keyframes=[0, 5], peaks_used=[5], fill=[5]), id="overlapping"),
+        pytest.param(dict(keyframes=[0, 3, 5], peaks_used=[5]), id="uncovered"),
+    ])
+    def test_schedule_invariants(self, fields):
+        with pytest.raises(errors.InvariantViolationError):
+            selection.KeyframeSchedule(total_frames=8, **fields)
+
     def test_extrema_out_of_range(self):
         with pytest.raises(errors.InconsistentExtremaError):
             selection.select_keyframes(flat_curve(48), motion.Extrema(peaks=[50]),
