@@ -21,6 +21,7 @@ from .errors import (
     KernelTooLargeError,
     ShapeMismatchError,
     WrongSampleRateError,
+    as_index,
 )
 from .ingest import AudioClip, PIPELINE_SAMPLE_RATE
 from .selection import KeyframeSchedule
@@ -117,14 +118,14 @@ def mel_spectrogram(clip: AudioClip) -> MelSpectrogram:
 
 def mel_csv_text(spec: MelSpectrogram) -> str:
     """The spectrogram as plain CSV, one band per row, 9-decimal values."""
-    lines = [",".join(f"{v:.9f}" for v in row) for row in spec.values]
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(map("{:.9f}".format, row)) for row in spec.values.tolist()) + "\n"
 
 
 def patch_token_count(frame_count: int, kernel: int, stride: int) -> int:
     """Number of temporal patches a strided 1-D patchifier produces."""
-    if kernel < 1 or stride < 1:
-        raise InvariantViolationError(f"kernel and stride must be >= 1, got {kernel}, {stride}")
+    frame_count = as_index(frame_count, "frame_count", lo=None)
+    kernel = as_index(kernel, "kernel", lo=1)
+    stride = as_index(stride, "stride", lo=1)
     if kernel > frame_count:
         raise KernelTooLargeError(f"kernel {kernel} exceeds {frame_count} frames")
     return (frame_count - kernel) // stride + 1
@@ -137,8 +138,7 @@ def interp_pos_embeddings(embeddings, n_new: int) -> np.ndarray:
     first and last rows are preserved exactly; a single input row broadcasts.
     """
     emb = as_feature_matrix(embeddings, "embeddings")
-    if n_new < 1:
-        raise InvariantViolationError(f"n_new must be >= 1, got {n_new}")
+    n_new = as_index(n_new, "n_new", lo=1)
     n = emb.shape[0]
     if n == 1:
         return np.tile(emb[0], (n_new, 1))
@@ -153,8 +153,7 @@ def interp_pos_embeddings(embeddings, n_new: int) -> np.ndarray:
 def segment_features(tokens, time_steps: int) -> np.ndarray:
     """Assign one nearest token row to each of ``time_steps`` video steps."""
     mat = as_feature_matrix(tokens, "tokens")
-    if time_steps < 1:
-        raise InvariantViolationError(f"time_steps must be >= 1, got {time_steps}")
+    time_steps = as_index(time_steps, "time_steps", lo=1)
     n = mat.shape[0]
     if time_steps == 1:
         return mat[[0], :].copy()
@@ -166,9 +165,8 @@ def gather_keyframe_rows(perstep, indices) -> np.ndarray:
     """Pick the rows at the schedule's keyframe indices, in schedule order."""
     mat = as_feature_matrix(perstep, "perstep")
     if isinstance(indices, KeyframeSchedule):
-        idx = indices.keyframes
-    else:
-        idx = [int(i) for i in indices]
+        indices = indices.keyframes
+    idx = [as_index(i, "indices", lo=None) for i in indices]
     for i in idx:
         if not 0 <= i < mat.shape[0]:
             raise IndexOutOfRangeError(f"row {i} outside matrix with {mat.shape[0]} rows")

@@ -6,6 +6,8 @@ class whose ``exit_code`` is the CLI exit status of every error under it and
 whose ``summary`` describes that code in ``keysched --help``.
 """
 
+import operator
+
 
 class KeyschedError(Exception):
     """Base class for all keysched errors."""
@@ -73,6 +75,26 @@ class ParseError(IngestError):
 
 class InvariantViolationError(IngestError):
     """Deserialized or constructed value breaks a type invariant."""
+
+
+def as_index(value, name: str, lo: int | None = 0, hi: int | None = None) -> int:
+    """The one integer rule for every index and count: a Python or NumPy integer in ``[lo, hi)``.
+
+    Returns it as an int. ``bool``, floats (``3.0`` too), strings and values out
+    of bounds raise InvariantViolationError. A ``None`` bound is open, for callers
+    whose own stage error decides the range.
+    """
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None:
+        raise InvariantViolationError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and index < lo:
+        raise InvariantViolationError(f"{name} must be >= {lo}, got {index}")
+    if hi is not None and index >= hi:
+        raise InvariantViolationError(f"{name} must be < {hi}, got {index}")
+    return index
 
 
 class TooSmallError(FlowError):

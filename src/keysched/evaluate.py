@@ -9,6 +9,7 @@ equal subtle/moderate/intense terciles by mean motion score.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from .errors import (
     NotDivisibleByThreeError,
     NoValidInstancesError,
     ParseError,
+    as_index,
 )
 from .ingest import _read_text
 
@@ -29,10 +31,8 @@ class KeypointInstance:
     pred: list[int]
 
     def __post_init__(self):
-        self.gt = sorted(int(i) for i in self.gt)
-        self.pred = sorted(int(i) for i in self.pred)
-        if any(i < 0 for i in self.gt + self.pred):
-            raise InvariantViolationError("keypoint indices must be >= 0")
+        self.gt = sorted(as_index(i, "gt") for i in self.gt)
+        self.pred = sorted(as_index(i, "pred") for i in self.pred)
 
 
 @dataclass
@@ -102,28 +102,24 @@ def intensity_buckets(class_means: dict[str, float]) -> IntensityBuckets:
     )
 
 
-def _parse_index_list(token: str, label: str, line_no: int) -> list[int]:
-    if not token.startswith(label + ":"):
-        raise ParseError(f"line {line_no}: expected '{label}:' field")
-    body = token[len(label) + 1:]
-    if not body:
-        return []
-    try:
-        return [int(part) for part in body.split(";")]
-    except ValueError as exc:
-        raise ParseError(f"line {line_no}: {exc}") from exc
+# "gt:LIST pred:LIST" between spaces or tabs; a LIST is empty or unsigned ASCII
+# decimals joined by ';', with no sign, underscore or empty item
+_LIST = r"((?:[0-9]+(?:;[0-9]+)*)?)"
+_INSTANCE = re.compile(rf"[ \t]*gt:{_LIST}[ \t]+pred:{_LIST}[ \t]*")
 
 
 def read_keypoint_instances(path: str | Path) -> list[KeypointInstance]:
-    """Parse instance lines of the form ``gt:i1;i2 pred:j1;j2``."""
+    """Parse instance lines of the form ``gt:i1;i2 pred:j1;j2``; blank lines are skipped."""
     instances = []
-    for line_no, line in enumerate(_read_text(path, "ascii").splitlines()):
-        if not line.strip():
+    for line_no, line in enumerate(_read_text(path, "ascii").split("\n")):
+        if not line.strip(" \t"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {line_no}: expected two fields, got {len(parts)}")
-        gt = _parse_index_list(parts[0], "gt", line_no)
-        pred = _parse_index_list(parts[1], "pred", line_no)
+        match = _INSTANCE.fullmatch(line)
+        if match is None:
+            raise ParseError(f"line {line_no}: expected 'gt:i;j pred:k;l'")
+        try:
+            gt, pred = ([int(i) for i in field.split(";") if i] for field in match.groups())
+        except ValueError as exc:  # a number past Python's int-string digit limit
+            raise ParseError(f"line {line_no}: {exc}") from exc
         instances.append(KeypointInstance(gt=gt, pred=pred))
     return instances

@@ -10,13 +10,12 @@ benchmark endpoint accuracy.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError, TooShortError, TooSmallError
+from .errors import InvariantViolationError, TooShortError, TooSmallError, as_index
 from .ingest import Frame, FrameSequence
 from .motion import MotionCurve, STAGE_RAW
 
@@ -68,12 +67,8 @@ class FlowParams:
     convergence_eps: float = DEFAULT_CONVERGENCE_EPS
 
     def __post_init__(self):
-        for name in ("iterations", "pyramid_levels"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvariantViolationError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise InvariantViolationError(f"{name} must be >= 1")
+        self.iterations = as_index(self.iterations, "iterations", lo=1)
+        self.pyramid_levels = as_index(self.pyramid_levels, "pyramid_levels", lo=1)
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise InvariantViolationError("alpha must be finite and > 0")
         if not (math.isfinite(self.convergence_eps) and self.convergence_eps >= 0):

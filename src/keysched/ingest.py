@@ -135,13 +135,6 @@ def read_pgm(path: str | Path) -> Frame:
     return Frame(height=height, width=width, pixels=pixels.reshape(height, width))
 
 
-def write_pgm(frame: Frame, path: str | Path) -> None:
-    """Write a Frame as binary PGM, quantizing pixels back to 8 bits."""
-    raster = np.clip(np.rint(frame.pixels * 255.0), 0, 255).astype(np.uint8)
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + raster.tobytes())
-
-
 def load_frame_sequence(directory: str | Path, fps: float = 24.0) -> FrameSequence:
     """Load every ``*.pgm`` in the directory, ordered by filename."""
     directory = Path(directory)
@@ -187,18 +180,6 @@ def load_wav(path: str | Path) -> AudioClip:
     if raw.size < 1:
         raise UnsupportedEncodingError(f"{path}: empty data chunk")
     return AudioClip(samples=raw.astype(np.float64) / 32768.0, sample_rate=rate)
-
-
-def write_wav(clip: AudioClip, path: str | Path) -> None:
-    """Write a clip as RIFF/WAVE PCM16 mono."""
-    pcm = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2")
-    body = pcm.tobytes()
-    header = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, 1, 1, clip.sample_rate, clip.sample_rate * 2, 2, 16
-    )
-    header += b"data" + struct.pack("<I", len(body))
-    Path(path).write_bytes(header + body)
 
 
 # --- text files ---

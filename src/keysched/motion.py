@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidWindowError, InvariantViolationError, NotNormalizedError
+from .errors import InvalidWindowError, InvariantViolationError, NotNormalizedError, as_index
 
 STAGE_RAW = "raw"
 STAGE_SMOOTHED = "smoothed"
@@ -67,11 +67,9 @@ class Extrema:
     valleys: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        self.peaks = [int(i) for i in self.peaks]
-        self.valleys = [int(i) for i in self.valleys]
+        self.peaks = [as_index(i, "peaks") for i in self.peaks]
+        self.valleys = [as_index(i, "valleys") for i in self.valleys]
         for name, idx in (("peaks", self.peaks), ("valleys", self.valleys)):
-            if any(i < 0 for i in idx):
-                raise InvariantViolationError(f"{name} contain a negative index")
             if sorted(set(idx)) != idx:
                 raise InvariantViolationError(f"{name} must be sorted and distinct")
 
@@ -83,7 +81,7 @@ def smooth(curve: MotionCurve, window: int = DEFAULT_SMOOTH_WINDOW) -> MotionCur
     the mean is taken over that shorter span, so constant curves pass through
     unchanged and no zero-padding bias appears at the ends.
     """
-    window = int(window)
+    window = as_index(window, "window", lo=None)
     if window < 1 or window % 2 == 0:
         raise InvalidWindowError(f"window must be odd and >= 1, got {window}")
     x = curve.values
@@ -156,9 +154,7 @@ def peak_prominences(curve: MotionCurve, indices: list[int]) -> list[float]:
     prominence, any other index 0.0.
     """
     x = curve.values
-    for i in indices:
-        if not 0 <= i < x.size:
-            raise InvariantViolationError(f"index {i} outside curve of length {x.size}")
+    indices = [as_index(i, "indices", hi=x.size) for i in indices]
     first, prom = _run_prominences(x)
     runs = np.searchsorted(first, np.asarray(indices, dtype=np.int64), side="right") - 1
     return prom[runs].tolist()

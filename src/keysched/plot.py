@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, as_index
 from .motion import Extrema, MotionCurve
 from .selection import KeyframeSchedule
 
@@ -35,8 +35,13 @@ class PlotSpec:
     schedule: KeyframeSchedule | None = None
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise InvariantViolationError("plot dimensions must be positive")
+        self.width = as_index(self.width, "width", lo=1)
+        self.height = as_index(self.height, "height", lo=1)
+        n, sched = len(self.curve), self.schedule
+        if sched is not None and sched.total_frames != n:
+            raise InvariantViolationError(f"schedule of {sched.total_frames} frames, curve of {n}")
+        if any(i >= n for i in self.extrema.peaks + self.extrema.valleys):
+            raise InvariantViolationError(f"extrema index beyond curve of length {n}")
 
 
 def _fmt(x: float) -> str:

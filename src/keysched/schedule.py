@@ -18,10 +18,10 @@ from .audiofeat import as_feature_matrix
 from .errors import (
     BadGeometryError,
     CountMismatchError,
-    IndexOutOfRangeError,
     InvariantViolationError,
     OddDimError,
     ShapeMismatchError,
+    as_index,
 )
 from .selection import KeyframeSchedule
 
@@ -38,6 +38,7 @@ class ConditionLayout:
     features: np.ndarray
 
     def __post_init__(self):
+        self.total_frames = as_index(self.total_frames, "total_frames")
         self.mask = np.asarray(self.mask, dtype=np.int64)
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.mask.shape != (self.total_frames,):
@@ -68,12 +69,15 @@ class WindowPlan:
     windows: list[tuple[int, int]]
 
     def __post_init__(self):
-        self.windows = [(int(s), int(e)) for s, e in self.windows]
+        self.total_frames = as_index(self.total_frames, "total_frames")
+        self.window = as_index(self.window, "window", lo=1)
+        self.stride = as_index(self.stride, "stride", lo=1)
+        self.windows = [(as_index(s, "windows"), as_index(e, "windows")) for s, e in self.windows]
         if not self.windows:
             raise InvariantViolationError("window plan must contain at least one window")
         covered = set()
         for s, e in self.windows:
-            if not 0 <= s < e <= self.total_frames:
+            if not s < e <= self.total_frames:
                 raise InvariantViolationError(f"window [{s}, {e}) out of range")
             covered.update(range(s, e))
         if covered != set(range(self.total_frames)):
@@ -95,9 +99,8 @@ def interpolation_layout(keyframe_feats, schedule: KeyframeSchedule) -> Conditio
         raise CountMismatchError(
             f"{feats.shape[0]} feature rows for {len(schedule.keyframes)} keyframes"
         )
+    # KeyframeSchedule keeps every keyframe in [0, total_frames)
     total = schedule.total_frames
-    if any(i >= total for i in schedule.keyframes):
-        raise IndexOutOfRangeError("keyframe index beyond total_frames")
     features = np.zeros((total, feats.shape[1]))
     mask = np.zeros(total, dtype=np.int64)
     for row, idx in enumerate(schedule.keyframes):
@@ -111,8 +114,7 @@ def firstframe_layout(first_feat, total_frames: int) -> ConditionLayout:
     feat = as_feature_matrix(first_feat, "first_feat")
     if feat.shape[0] != 1:
         raise ShapeMismatchError(f"need exactly one feature row, got {feat.shape[0]}")
-    if total_frames < 1:
-        raise InvariantViolationError("total_frames must be >= 1")
+    total_frames = as_index(total_frames, "total_frames", lo=1)
     features = np.tile(feat[0], (total_frames, 1))
     mask = np.ones(total_frames, dtype=np.int64)
     return ConditionLayout(total_frames=total_frames, mask=mask, features=features)
@@ -122,6 +124,9 @@ def freenoise_windows(total_frames: int, window: int = FREENOISE_WINDOW,
                       stride: int = FREENOISE_STRIDE) -> WindowPlan:
     """Overlapping window layout: starts step by ``stride`` while a full
     window fits; a trailing clamped window closes any uncovered tail."""
+    total_frames = as_index(total_frames, "total_frames", lo=None)
+    window = as_index(window, "window", lo=None)
+    stride = as_index(stride, "stride", lo=None)
     if stride < 1 or stride > window or window > total_frames:
         raise BadGeometryError(
             f"need 1 <= stride <= window <= total_frames, got "
@@ -144,11 +149,10 @@ def frame_index_embedding(indices, channels: int) -> np.ndarray:
     k = 0 .. c/2 - 1, giving every index a distinct, reproducible row with
     squared norm c/2.
     """
+    channels = as_index(channels, "channels", lo=None)
     if channels < 2 or channels % 2 != 0:
         raise OddDimError(f"channels must be even and >= 2, got {channels}")
-    idx = np.asarray([int(i) for i in indices], dtype=np.float64)
-    if np.any(idx < 0):
-        raise InvariantViolationError("frame indices must be >= 0")
+    idx = np.asarray([as_index(i, "indices") for i in indices], dtype=np.float64)
     k = np.arange(channels // 2)
     rates = 1.0 / np.power(10000.0, 2.0 * k / channels)
     phase = idx[:, None] * rates[None, :]

@@ -20,6 +20,7 @@ from .errors import (
     InconsistentExtremaError,
     InvalidKError,
     InvariantViolationError,
+    as_index,
 )
 # detect_valleys is unused here but stays a module attribute that perfbench/tracer.py wraps
 from .motion import Extrema, MotionCurve, detect_valleys, peak_prominences  # noqa: F401
@@ -41,14 +42,12 @@ class KeyframeSchedule:
     fill: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        self.total_frames = int(self.total_frames)
-        self.keyframes = [int(i) for i in self.keyframes]
-        self.peaks_used = sorted(int(i) for i in self.peaks_used)
-        self.valleys_used = sorted(int(i) for i in self.valleys_used)
-        self.fill = sorted(int(i) for i in self.fill)
+        self.total_frames = as_index(self.total_frames, "total_frames")
+        self.keyframes = [as_index(i, "keyframes", hi=self.total_frames) for i in self.keyframes]
+        self.peaks_used = sorted(as_index(i, "peaks_used") for i in self.peaks_used)
+        self.valleys_used = sorted(as_index(i, "valleys_used") for i in self.valleys_used)
+        self.fill = sorted(as_index(i, "fill") for i in self.fill)
         kf = self.keyframes
-        if any(not 0 <= i < self.total_frames for i in kf):
-            raise InvariantViolationError("keyframe index out of [0, total_frames)")
         if any(b <= a for a, b in zip(kf, kf[1:])):
             raise InvariantViolationError("keyframes must be strictly increasing")
         if not kf or kf[0] != 0:
@@ -69,7 +68,8 @@ class SelectionParams:
     seed: int = 0
 
     def __post_init__(self):
-        self.target_count = int(self.target_count)
+        self.target_count = as_index(self.target_count, "target_count", lo=None)
+        self.seed = as_index(self.seed, "seed", lo=None)
         if self.target_count < 2:
             raise InvalidKError(f"target keyframe count must be >= 2, got {self.target_count}")
         if self.mode not in (MODE_BY_PROMINENCE, MODE_SEEDED_RANDOM):
@@ -97,17 +97,16 @@ def choose_peaks(
     index); seeded_random draws a uniform sample without replacement via a
     Fisher-Yates shuffle driven by SplitMix64 on ``params.seed``.
     """
-    if limit < 0:
-        raise InvariantViolationError("peak limit must be >= 0")
+    limit = as_index(limit, "limit")
     if len(peaks) != len(prominences):
         raise InconsistentExtremaError("peaks and prominences differ in length")
-    peaks = [int(p) for p in peaks]
+    peaks = [as_index(p, "peaks") for p in peaks]
     if len(peaks) <= limit:
         return sorted(peaks)
     mode = params.mode if params is not None else MODE_BY_PROMINENCE
     if mode == MODE_SEEDED_RANDOM:
         pool = list(peaks)
-        state = int(params.seed) & _MASK64
+        state = params.seed & _MASK64
         for j in range(len(pool) - 1, 0, -1):
             state, z = _splitmix64(state)
             i = z % (j + 1)
@@ -124,7 +123,7 @@ def valley_between(curve: MotionCurve, extrema: Extrema, p1: int, p2: int) -> in
     (ties toward the lower index); absent any such valley the interval argmin
     stands in, so consecutive peaks always contribute a separator when room exists.
     """
-    p1, p2 = int(p1), int(p2)
+    p1, p2 = as_index(p1, "p1", hi=len(curve)), as_index(p2, "p2", hi=len(curve))
     if p1 >= p2:
         raise BadIntervalError(f"need p1 < p2, got ({p1}, {p2})")
     if p2 - p1 < 2:

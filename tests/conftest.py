@@ -1,3 +1,4 @@
+import struct
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from keysched.ingest import Frame, FrameSequence, write_pgm
+from keysched.ingest import AudioClip, Frame, FrameSequence
 
 _ACCEPTANCE_RESULTS = []
 
@@ -22,6 +23,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for name, passed in _ACCEPTANCE_RESULTS:
         terminalreporter.write_line(f"{'PASS' if passed else 'FAIL'}  {name}")
+
+
+def write_pgm(frame: Frame, path) -> None:
+    """Write a Frame as binary PGM, quantizing pixels back to 8 bits."""
+    raster = np.clip(np.rint(frame.pixels * 255.0), 0, 255).astype(np.uint8)
+    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + raster.tobytes())
+
+
+def write_wav(clip: AudioClip, path) -> None:
+    """Write a clip as RIFF/WAVE PCM16 mono."""
+    pcm = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2")
+    body = pcm.tobytes()
+    header = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
+    header += b"fmt " + struct.pack(
+        "<IHHIIHH", 16, 1, 1, clip.sample_rate, clip.sample_rate * 2, 2, 16
+    )
+    header += b"data" + struct.pack("<I", len(body))
+    Path(path).write_bytes(header + body)
 
 
 def moving_square_frames(count=16, height=32, width=48):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_wav
 from keysched import audiofeat, cli, errors, flow, ingest, motion, selection
 from keysched.cli import main
 from keysched.motion import MotionCurve
@@ -84,7 +85,7 @@ class TestSpectrogramCommand:
     def test_mel_csv_shape(self, tmp_path):
         wav = tmp_path / "tone.wav"
         t = np.arange(32000) / 16000.0
-        ingest.write_wav(ingest.AudioClip(samples=0.5 * np.sin(2 * np.pi * 440 * t)), wav)
+        write_wav(ingest.AudioClip(samples=0.5 * np.sin(2 * np.pi * 440 * t)), wav)
         out = tmp_path / "mel.csv"
         assert run(["spectrogram", "--wav", wav, "--out", out]) == 0
         rows = out.read_text().strip().split("\n")
@@ -93,7 +94,7 @@ class TestSpectrogramCommand:
 
     def test_wrong_rate_exits_5_without_output(self, tmp_path, capsys):
         wav = tmp_path / "cd.wav"
-        ingest.write_wav(ingest.AudioClip(samples=np.zeros(1000), sample_rate=44100), wav)
+        write_wav(ingest.AudioClip(samples=np.zeros(1000), sample_rate=44100), wav)
         out = tmp_path / "m.csv"
         assert run(["spectrogram", "--wav", wav, "--out", out]) == 5
         assert not out.exists()
@@ -101,7 +102,7 @@ class TestSpectrogramCommand:
 
     def test_sub_window_clip_exits_5_without_output(self, tmp_path):
         wav = tmp_path / "short.wav"
-        ingest.write_wav(ingest.AudioClip(samples=np.zeros(300)), wav)
+        write_wav(ingest.AudioClip(samples=np.zeros(300)), wav)
         out = tmp_path / "mel.csv"
         assert run(["spectrogram", "--wav", wav, "--out", out]) == 5
         assert not out.exists()
@@ -201,6 +202,16 @@ class TestPlotCommand:
         ingest.write_scores_csv(MotionCurve(np.linspace(0.0, 1.0, 8)), scores)
         sched = tmp_path / "sched.json"
         sched.write_text(payload)
+        out = tmp_path / "c.svg"
+        assert run(["plot", "--scores", scores, "--schedule", sched, "--out", out]) == 2
+        assert not out.exists()
+        assert "keysched plot:" in capsys.readouterr().err
+
+    def test_schedule_longer_than_curve_exits_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        ingest.write_scores_csv(MotionCurve(np.linspace(0.0, 1.0, 20)), scores)
+        sched = tmp_path / "sched.json"
+        sched.write_text('{"total_frames": 200, "keyframes": [0, 150, 199], "fill": [150, 199]}')
         out = tmp_path / "c.svg"
         assert run(["plot", "--scores", scores, "--schedule", sched, "--out", out]) == 2
         assert not out.exists()
@@ -386,7 +397,7 @@ class TestCliMatchesLibrary:
     def test_spectrogram_matches_mel_formatter(self, tmp_path):
         wav = tmp_path / "noise.wav"
         rng = np.random.default_rng(3)
-        ingest.write_wav(ingest.AudioClip(samples=rng.uniform(-0.5, 0.5, 20000)), wav)
+        write_wav(ingest.AudioClip(samples=rng.uniform(-0.5, 0.5, 20000)), wav)
         out = tmp_path / "mel.csv"
         assert run(["spectrogram", "--wav", wav, "--out", out]) == 0
         spec = audiofeat.mel_spectrogram(ingest.load_wav(wav))

@@ -130,6 +130,13 @@ class TestKeypointCsv:
         assert instances[0].gt == [5, 20] and instances[0].pred == [6, 40]
         assert instances[1].gt == [7] and instances[1].pred == []
 
+    def test_spaces_and_tabs_separate_fields(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text("\tgt:5;20  \tpred:6 \n \t\n")
+        instances = evaluate.read_keypoint_instances(path)
+        assert len(instances) == 1
+        assert instances[0].gt == [5, 20] and instances[0].pred == [6]
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("gt:5;x pred:1\n")
@@ -139,5 +146,27 @@ class TestKeypointCsv:
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad2.txt"
         path.write_text("gt:5\n")
+        with pytest.raises(errors.ParseError):
+            evaluate.read_keypoint_instances(path)
+
+    @pytest.mark.parametrize("line", [
+        pytest.param("gt:1_0;20 pred:10;20", id="underscore"),
+        pytest.param("gt:10;+20 pred:10;20", id="sign"),
+        pytest.param("gt:10;20 pred:10;;20", id="empty-item"),
+        # str.split() and str.splitlines() take these separator bytes for
+        # whitespace and line breaks
+        pytest.param("gt:10\x1fpred:10", id="unit-separator"),
+        pytest.param("gt:10 pred:10\x1cgt:1 pred:1", id="file-separator"),
+    ])
+    def test_indices_are_unsigned_ascii_decimals(self, line, tmp_path):
+        # int() would read '1_0' and '+20' as 10 and 20
+        path = tmp_path / "inst.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(errors.ParseError):
+            evaluate.read_keypoint_instances(path)
+
+    def test_index_past_digit_limit(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text("gt:" + "9" * 5000 + " pred:1\n")
         with pytest.raises(errors.ParseError):
             evaluate.read_keypoint_instances(path)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_pgm, write_wav
 from keysched import errors, evaluate, ingest
 from keysched.motion import MotionCurve
 from keysched.selection import KeyframeSchedule
@@ -93,7 +94,7 @@ class TestReadPgm:
     def test_write_read_roundtrip(self, tmp_path):
         pixels = np.linspace(0, 1, 30).reshape(5, 6)
         frame = ingest.Frame(5, 6, np.rint(pixels * 255) / 255)
-        ingest.write_pgm(frame, tmp_path / "rt.pgm")
+        write_pgm(frame, tmp_path / "rt.pgm")
         back = ingest.read_pgm(tmp_path / "rt.pgm")
         assert np.array_equal(back.pixels, frame.pixels)
 
@@ -170,7 +171,7 @@ class TestLoadWav:
 
     def test_wav_writer_roundtrip(self, tmp_path):
         clip = ingest.AudioClip(samples=np.array([0.0, 0.25, -0.5]), sample_rate=16000)
-        ingest.write_wav(clip, tmp_path / "w.wav")
+        write_wav(clip, tmp_path / "w.wav")
         back = ingest.load_wav(tmp_path / "w.wav")
         assert np.allclose(back.samples, clip.samples, atol=1 / 32768)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from keysched import motion, plot, selection
+from keysched import errors, motion, plot, selection
 from keysched.motion import Extrema, MotionCurve
 from keysched.selection import KeyframeSchedule, SelectionParams
 
@@ -42,3 +42,17 @@ def golden_specs():
 def test_render_plot_bytes_match_golden(name):
     expected = json.loads(GOLDEN_SVGS.read_text())[name]
     assert plot.render_plot(golden_specs()[name]) == expected
+
+
+@pytest.mark.parametrize("extrema, schedule", [
+    pytest.param(Extrema(peaks=[7]), None, id="peak-beyond-curve"),
+    pytest.param(Extrema(valleys=[3]), None, id="valley-beyond-curve"),
+    pytest.param(Extrema(), KeyframeSchedule(total_frames=4, keyframes=[0, 2], fill=[2]),
+                 id="schedule-longer-than-curve"),
+    pytest.param(Extrema(), KeyframeSchedule(total_frames=2, keyframes=[0, 1], fill=[1]),
+                 id="schedule-shorter-than-curve"),
+])
+def test_marks_must_fit_the_curve(extrema, schedule):
+    with pytest.raises(errors.InvariantViolationError):
+        plot.PlotSpec(width=80, height=40, curve=MotionCurve([0.0, 1.0, 0.5]),
+                      extrema=extrema, schedule=schedule)
