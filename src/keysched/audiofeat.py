@@ -23,7 +23,7 @@ from .errors import (
     WrongSampleRateError,
     as_index,
 )
-from .ingest import AudioClip, PIPELINE_SAMPLE_RATE
+from .ingest import AudioClip, PIPELINE_SAMPLE_RATE, fixed_text
 from .selection import KeyframeSchedule
 
 N_MELS = 128
@@ -118,7 +118,7 @@ def mel_spectrogram(clip: AudioClip) -> MelSpectrogram:
 
 def mel_csv_text(spec: MelSpectrogram) -> str:
     """The spectrogram as plain CSV, one band per row, 9-decimal values."""
-    return "\n".join(",".join(map("{:.9f}".format, row)) for row in spec.values.tolist()) + "\n"
+    return fixed_text(spec.values, 9)
 
 
 def patch_token_count(frame_count: int, kernel: int, stride: int) -> int:
@@ -136,6 +136,9 @@ def interp_pos_embeddings(embeddings, n_new: int) -> np.ndarray:
 
     Each channel is linearly interpolated over normalized positions, so the
     first and last rows are preserved exactly; a single input row broadcasts.
+    All channels go through ``np.interp``'s formula at once (the slope of the
+    segment below each target, times the offset into it, plus its start), so
+    on finite input the result is bit for bit per-channel ``np.interp``.
     """
     emb = as_feature_matrix(embeddings, "embeddings")
     n_new = as_index(n_new, "n_new", lo=1)
@@ -144,9 +147,14 @@ def interp_pos_embeddings(embeddings, n_new: int) -> np.ndarray:
         return np.tile(emb[0], (n_new, 1))
     src = np.linspace(0.0, 1.0, n)
     dst = np.linspace(0.0, 1.0, n_new)
-    out = np.empty((n_new, emb.shape[1]))
-    for c in range(emb.shape[1]):
-        out[:, c] = np.interp(dst, src, emb[:, c])
+    below = np.searchsorted(src, dst, side="right") - 1
+    j = np.minimum(below, n - 2)
+    slope = (emb[j + 1] - emb[j]) / (src[j + 1] - src[j])[:, None]
+    out = slope * (dst - src[j])[:, None] + emb[j]
+    # where a target lands on a source position (the last one always),
+    # np.interp returns that row itself, -0.0 included
+    on_row = dst == src[below]
+    out[on_row] = emb[below[on_row]]
     return out
 
 

@@ -111,15 +111,15 @@ _INSTANCE = re.compile(rf"[ \t]*gt:{_LIST}[ \t]+pred:{_LIST}[ \t]*")
 def read_keypoint_instances(path: str | Path) -> list[KeypointInstance]:
     """Parse instance lines of the form ``gt:i1;i2 pred:j1;j2``; blank lines are skipped."""
     instances = []
-    for line_no, line in enumerate(_read_text(path, "ascii").split("\n")):
+    for line_no, line in enumerate(_read_text(path, "ascii").split("\n"), start=1):
         if not line.strip(" \t"):
             continue
         match = _INSTANCE.fullmatch(line)
         if match is None:
-            raise ParseError(f"line {line_no}: expected 'gt:i;j pred:k;l'")
+            raise ParseError(f"{path}: line {line_no}: expected 'gt:i;j pred:k;l'")
         try:
             gt, pred = ([int(i) for i in field.split(";") if i] for field in match.groups())
         except ValueError as exc:  # a number past Python's int-string digit limit
-            raise ParseError(f"line {line_no}: {exc}") from exc
+            raise ParseError(f"{path}: line {line_no}: {exc}") from exc
         instances.append(KeypointInstance(gt=gt, pred=pred))
     return instances

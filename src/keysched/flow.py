@@ -123,11 +123,12 @@ def _downsample(img: np.ndarray) -> np.ndarray:
     return _conv3(img, _BLUR_KERNEL)[::2, ::2]
 
 
-def _linearize(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray, alpha: float):
+def _linearize(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
+               grid: np.ndarray, alpha: float):
     """Warp b by the current flow; return the gradients of the mean image,
-    the temporal difference and the Jacobi denominator."""
-    h, w = a.shape
-    gy, gx = np.mgrid[0:h, 0:w].astype(np.float64)
+    the temporal difference and the Jacobi denominator. ``grid`` is the
+    level's ``np.indices`` in float64: row, then column coordinates."""
+    gy, gx = grid
     b_warped = _bilinear_sample(b, gx + u, gy + v)
     avg = (a + b_warped) / 2.0
     ix, iy = _gradients(avg)
@@ -137,7 +138,7 @@ def _linearize(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray, alpha
 
 
 def _solve_level(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
-                 alpha: float, iterations: int, eps: float):
+                 grid: np.ndarray, alpha: float, iterations: int, eps: float):
     """Warp b by the current flow, then Jacobi-iterate the increment.
 
     The increment (du, dv) lives as one (2, h, w) array in the interior of a
@@ -157,7 +158,7 @@ def _solve_level(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
     # the discarded border values finite
     terms = np.zeros((4, h + 2, row))
     terms[3] = 1.0
-    terms[:, 1:-1, 1:-1] = _linearize(a, b, u, v, alpha)
+    terms[:, 1:-1, 1:-1] = _linearize(a, b, u, v, grid, alpha)
     terms = terms.reshape(4, -1)[:, start:start + size]
     grad, it, denom = terms[:2], terms[2], terms[3]
     cur, nxt = np.zeros((2, h + 2, row)), np.zeros((2, h + 2, row))
@@ -204,7 +205,8 @@ def _pair_flows(seq: FrameSequence, params: FlowParams) -> Iterator[FlowField]:
 
     The sequence already holds frames of one size; the coarsest level is
     checked once, before any solve. Each frame's pyramid is built once; only
-    the previous frame's stays live while the next pair is solved.
+    the previous frame's stays live while the next pair is solved. The pixel
+    grid of each level is built once, from the first frame's pyramid.
     """
     h, w = seq.height, seq.width
     levels = params.pyramid_levels
@@ -215,12 +217,14 @@ def _pair_flows(seq: FrameSequence, params: FlowParams) -> Iterator[FlowField]:
             f"{levels} levels (need >= {MIN_COARSE_SIZE})"
         )
     alpha = params.alpha / 255.0
-    prev = None
+    prev = grids = None
     for frame in seq.frames:
         pyr = [frame.pixels]
         for _ in range(levels - 1):
             pyr.append(_downsample(pyr[-1]))
-        if prev is not None:
+        if prev is None:
+            grids = [np.indices(p.shape, dtype=np.float64) for p in pyr]
+        else:
             u = np.zeros_like(pyr[-1])
             v = np.zeros_like(pyr[-1])
             for level in range(levels - 1, -1, -1):
@@ -230,7 +234,7 @@ def _pair_flows(seq: FrameSequence, params: FlowParams) -> Iterator[FlowField]:
                     u = _resize_bilinear(u, (fh, fw)) * (fw / cw)
                     v = _resize_bilinear(v, (fh, fw)) * (fh / ch)
                 u, v = _solve_level(
-                    prev[level], pyr[level], u, v,
+                    prev[level], pyr[level], u, v, grids[level],
                     alpha, params.iterations, params.convergence_eps,
                 )
             yield FlowField(u=u, v=v)

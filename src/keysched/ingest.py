@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     UnsupportedChannelsError,
     UnsupportedEncodingError,
+    as_index,
 )
 from .motion import MotionCurve, STAGE_RAW
 from .selection import KeyframeSchedule
@@ -217,6 +218,74 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def fixed_text(table, decimals, sep: str = ",", end: str = "\n") -> str:
+    """Rows of a 2-D table as text, every value exactly ``format(x, f".{d}f")``.
+
+    ``decimals`` is one d for every column or one per column, from 0 to 18
+    so that 10**d is an exact float and the fraction digits fit an int64.
+    The values of a row are joined by ``sep`` and each row ends with
+    ``end``; both are single ASCII characters.
+
+    ``y = x * 10**d`` is the float nearest the exact product, and below
+    2**52 every half-integer is a float, so none lies strictly between the
+    two: unless ``y`` is itself a half-integer, both round to the same
+    integer. Those ties, signed values (-0.0 too), non-finite values and
+    ``y >= 2**52`` go through ``format`` one by one. Every other value is cut
+    into digit columns of one character matrix, from which one boolean mask
+    drops the leading zeros.
+    """
+    x = np.asarray(table, dtype=np.float64)
+    rows, cols = x.shape
+    places = decimals if np.ndim(decimals) else [decimals]
+    col_d = np.broadcast_to([as_index(v, "decimals", hi=19) for v in places], cols)
+    dmax = int(col_d.max())
+    # a shared d stays a scalar, so NumPy's inner loops run over whole rows
+    d = dmax if col_d.min() == dmax else col_d
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 10.0 ** d
+        fast = np.isfinite(y) & ~np.signbit(x) & (y < 2.0 ** 52)
+        y[~fast] = 0.0
+        fast &= y - np.floor(y) != 0.5
+    whole, frac = np.divmod(np.rint(y).astype(np.int64), 10 ** d)
+    # each column's d fraction digits lead the dmax fraction places
+    frac *= 10 ** (dmax - d)
+    wi = len(str(whole.max()))
+    # per value: wi integer digits, the point, dmax fraction digits, a separator
+    chars = np.empty((rows, cols, wi + dmax + 2), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    for k in range(wi - 1):
+        np.greater_equal(whole, 10 ** (wi - 1 - k), out=keep[:, :, k])
+    # no point where d is 0, and no fraction places past a column's d
+    keep[:, col_d == 0, wi] = False
+    for k in range(dmax):
+        keep[:, col_d <= k, wi + 1 + k] = False
+
+    def put_digits(value, start, stop):
+        # in the narrowest dtype that holds it, where dividing by 10 is cheapest
+        value = value.astype(np.min_scalar_type(value.max()))
+        digit = np.empty_like(value)
+        for k in range(stop - 1, start - 1, -1):
+            np.divmod(value, 10, out=(value, digit))
+            np.add(digit, ord("0"), out=chars[:, :, k], casting="unsafe")
+
+    put_digits(whole, 0, wi)
+    put_digits(frac, wi + 1, wi + 1 + dmax)
+    chars[:, :, wi] = ord(".")
+    chars[:, :, -1] = ord(sep)
+    chars[:, -1, -1] = ord(end)
+    slow = ~fast
+    if not slow.any():
+        return chars[keep].tobytes().decode("ascii")
+    # each slow value leaves one NUL byte, where its format() text goes
+    keep[slow, :-1] = False
+    keep[slow, 0] = True
+    chars[slow, 0] = 0
+    parts = chars[keep].tobytes().decode("ascii").split("\0")
+    exact = [format(v, f".{p}f") for v, p in
+             zip(x[slow].tolist(), np.broadcast_to(col_d, x.shape)[slow].tolist())]
+    return parts[0] + "".join(s + p for s, p in zip(exact, parts[1:]))
+
+
 # --- scores CSV ---
 
 CSV_HEADER = "index,score"
@@ -224,9 +293,8 @@ CSV_HEADER = "index,score"
 
 def scores_csv_text(curve: MotionCurve) -> str:
     """One ``index,score`` row per frame with 9-decimal scores."""
-    lines = [CSV_HEADER]
-    lines.extend(f"{i},{v:.9f}" for i, v in enumerate(curve.values))
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack((np.arange(len(curve)), curve.values))
+    return CSV_HEADER + "\n" + fixed_text(rows, (0, 9))
 
 
 def write_scores_csv(curve: MotionCurve, path: str | Path) -> None:

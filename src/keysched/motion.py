@@ -5,8 +5,10 @@ normalize(): per-clip min-max scaling to [0, 1]; a range below FLAT_RANGE is fla
 detect_peaks() / detect_valleys(): local extrema filtered by topographic
 prominence and a minimum inter-peak distance; extrema and prominences come
 from one linear-time monotonic-stack pass per side.
+detect_extrema(): both sides, plus the kept peaks' prominences from the same
+pass, which downstream peak ranking uses.
 peak_prominences(): exact prominence of any index (0.0 off a peak plateau),
-used by downstream peak ranking.
+for extrema that carry no prominences.
 """
 
 from __future__ import annotations
@@ -61,10 +63,15 @@ class MotionCurve:
 
 @dataclass
 class Extrema:
-    """Sorted peak and valley indices detected on one curve."""
+    """Sorted peak and valley indices detected on one curve.
+
+    ``prominences``, when given, holds each peak's prominence on that curve,
+    in peak order; ``detect_extrema`` fills it in from its own pass.
+    """
 
     peaks: list[int] = field(default_factory=list)
     valleys: list[int] = field(default_factory=list)
+    prominences: list[float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.peaks = [as_index(i, "peaks") for i in self.peaks]
@@ -72,6 +79,8 @@ class Extrema:
         for name, idx in (("peaks", self.peaks), ("valleys", self.valleys)):
             if sorted(set(idx)) != idx:
                 raise InvariantViolationError(f"{name} must be sorted and distinct")
+        if self.prominences is not None and len(self.prominences) != len(self.peaks):
+            raise InvariantViolationError("need one prominence per peak")
 
 
 def smooth(curve: MotionCurve, window: int = DEFAULT_SMOOTH_WINDOW) -> MotionCurve:
@@ -160,6 +169,30 @@ def peak_prominences(curve: MotionCurve, indices: list[int]) -> list[float]:
     return prom[runs].tolist()
 
 
+def _peaks_and_prominences(
+    curve: MotionCurve, min_distance: int, min_prominence: float
+) -> tuple[list[int], list[float]]:
+    """``detect_peaks`` and the prominence of each peak it keeps."""
+    if curve.stage != STAGE_NORMALIZED:
+        raise NotNormalizedError("peak detection requires a normalized curve")
+    x = curve.values
+    first, prom = _run_prominences(x)
+    survives = (prom > 0) & (prom >= min_prominence)
+    cands, cand_prom = first[survives], prom[survives]
+    order = np.argsort(-x[cands], kind="stable")
+    kept: list[int] = []
+    kept_prom: list[float] = []
+    for i, p in zip(cands[order].tolist(), cand_prom[order].tolist()):
+        # the nearest kept peak on either side decides
+        pos = bisect_left(kept, i)
+        if (pos == 0 or i - kept[pos - 1] >= min_distance) and (
+            pos == len(kept) or kept[pos] - i >= min_distance
+        ):
+            kept.insert(pos, i)
+            kept_prom.insert(pos, p)
+    return kept, kept_prom
+
+
 def detect_peaks(
     curve: MotionCurve,
     min_distance: int = DEFAULT_MIN_DISTANCE,
@@ -173,20 +206,7 @@ def detect_peaks(
     two survivors sit >= ``min_distance`` apart, keeping higher peaks first
     and breaking height ties toward the lower index.
     """
-    if curve.stage != STAGE_NORMALIZED:
-        raise NotNormalizedError("peak detection requires a normalized curve")
-    x = curve.values
-    first, prom = _run_prominences(x)
-    cands = first[(prom > 0) & (prom >= min_prominence)]
-    kept: list[int] = []
-    for i in cands[np.argsort(-x[cands], kind="stable")].tolist():
-        # the nearest kept peak on either side decides
-        pos = bisect_left(kept, i)
-        if (pos == 0 or i - kept[pos - 1] >= min_distance) and (
-            pos == len(kept) or kept[pos] - i >= min_distance
-        ):
-            kept.insert(pos, i)
-    return kept
+    return _peaks_and_prominences(curve, min_distance, min_prominence)[0]
 
 
 def detect_valleys(
@@ -206,8 +226,11 @@ def detect_extrema(
     min_distance: int = DEFAULT_MIN_DISTANCE,
     min_prominence: float = DEFAULT_MIN_PROMINENCE,
 ) -> Extrema:
-    """Peaks and valleys of one curve under shared constraints."""
+    """Peaks and valleys of one curve under shared constraints, with the
+    peaks' prominences."""
+    peaks, prominences = _peaks_and_prominences(curve, min_distance, min_prominence)
     return Extrema(
-        peaks=detect_peaks(curve, min_distance, min_prominence),
+        peaks=peaks,
         valleys=detect_valleys(curve, min_distance, min_prominence),
+        prominences=prominences,
     )

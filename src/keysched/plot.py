@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, as_index
+from .ingest import fixed_text
 from .motion import Extrema, MotionCurve
 from .selection import KeyframeSchedule
 
@@ -79,7 +80,7 @@ def render_plot(spec: PlotSpec) -> str:
             )
     # sx and sy take arrays too; a one-point curve's scalar centre x broadcasts
     xs = np.broadcast_to(sx(np.arange(n)), n)
-    points = " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), sy(values).tolist()))
+    points = fixed_text(np.column_stack((xs, sy(values))), 2, end=" ")[:-1]
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="{CURVE_COLOR}" stroke-width="1.5"/>'
     )

@@ -167,8 +167,10 @@ def select_keyframes(
     """Assemble exactly ``params.target_count`` keyframes for the curve.
 
     Frame 0 is always included. Up to target_count/2 - 1 peaks are chosen
-    from ``extrema.peaks`` (all of them when fewer exist), one valley is
-    inserted between each pair of consecutive chosen peaks, taken from
+    from ``extrema.peaks`` (all of them when fewer exist), ranked by
+    ``extrema.prominences`` or, for extrema built without them, by
+    ``peak_prominences`` on the curve. One valley is inserted between each
+    pair of consecutive chosen peaks, taken from
     ``extrema.valleys`` (see ``valley_between``), and the remaining budget is
     spread over the gaps between selected frames proportionally to gap size,
     with the final gap running to the virtual clip boundary.
@@ -182,7 +184,9 @@ def select_keyframes(
             raise InconsistentExtremaError(f"{name} fall outside the curve range")
 
     peak_limit = t_k // 2 - 1
-    proms = peak_prominences(curve, extrema.peaks)
+    proms = extrema.prominences
+    if proms is None:
+        proms = peak_prominences(curve, extrema.peaks)
     chosen_peaks = choose_peaks(extrema.peaks, proms, peak_limit, params)
 
     chosen_valleys = []

@@ -58,6 +58,19 @@ def detect_peaks_oracle(x, min_distance=5, min_prominence=0.1):
     return sorted(kept)
 
 
+def interp_pos_embeddings_oracle(emb, n_new):
+    """Each channel resampled by its own np.interp over normalized positions."""
+    n = emb.shape[0]
+    if n == 1:
+        return np.tile(emb[0], (n_new, 1))
+    src = np.linspace(0.0, 1.0, n)
+    dst = np.linspace(0.0, 1.0, n_new)
+    out = np.empty((n_new, emb.shape[1]))
+    for c in range(emb.shape[1]):
+        out[:, c] = np.interp(dst, src, emb[:, c])
+    return out
+
+
 def max_matching_oracle(gt, pred, threshold, strict=False):
     """Exhaustive search over all one-to-one assignments."""
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from keysched import audiofeat, errors
 from keysched.ingest import AudioClip
 from keysched.selection import KeyframeSchedule
-from oracles import mel_band_oracle
+from oracles import interp_pos_embeddings_oracle, mel_band_oracle
 
 GOLDEN_MEL = Path(__file__).parent / "golden" / "mel.json"
 # the last kept window ends at sample 31 600
@@ -182,6 +182,22 @@ class TestInterpPosEmbeddings:
         back = audiofeat.interp_pos_embeddings(
             audiofeat.interp_pos_embeddings(emb, 11), 6)
         assert np.allclose(back, emb, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 24), n_new=st.integers(1, 64), channels=st.integers(1, 6),
+           data=st.data())
+    def test_bytes_match_per_channel_interp(self, rows, n_new, channels, data):
+        values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=rows * channels,
+                                    max_size=rows * channels))
+        emb = np.array(values).reshape(rows, channels)
+        ours = audiofeat.interp_pos_embeddings(emb, n_new)
+        assert ours.tobytes() == interp_pos_embeddings_oracle(emb, n_new).tobytes()
+
+    @pytest.mark.parametrize("n_new", [1, 2, 3])
+    def test_negative_zero_rows_kept(self, n_new):
+        emb = np.array([[-0.0, 1.0], [0.0, -0.0]])
+        ours = audiofeat.interp_pos_embeddings(emb, n_new)
+        assert ours.tobytes() == interp_pos_embeddings_oracle(emb, n_new).tobytes()
 
 
 class TestSegmentFeatures:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -139,14 +141,20 @@ class TestKeypointCsv:
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("gt:5;x pred:1\n")
-        with pytest.raises(errors.ParseError):
+        path.write_text("gt:1 pred:1\ngt:5;x pred:1\n")
+        with pytest.raises(errors.ParseError, match=f"^{re.escape(str(path))}: line 2: "):
+            evaluate.read_keypoint_instances(path)
+
+    def test_bad_first_line_is_line_1(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("pred:1 gt:5\ngt:1 pred:1\n")
+        with pytest.raises(errors.ParseError, match=f"^{re.escape(str(path))}: line 1: "):
             evaluate.read_keypoint_instances(path)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad2.txt"
-        path.write_text("gt:5\n")
-        with pytest.raises(errors.ParseError):
+        path.write_text("gt:1 pred:1\n\ngt:5\n")
+        with pytest.raises(errors.ParseError, match=f"^{re.escape(str(path))}: line 3: "):
             evaluate.read_keypoint_instances(path)
 
     @pytest.mark.parametrize("line", [
@@ -167,6 +175,6 @@ class TestKeypointCsv:
 
     def test_index_past_digit_limit(self, tmp_path):
         path = tmp_path / "inst.txt"
-        path.write_text("gt:" + "9" * 5000 + " pred:1\n")
-        with pytest.raises(errors.ParseError):
+        path.write_text("gt:1 pred:1\ngt:" + "9" * 5000 + " pred:1\n")
+        with pytest.raises(errors.ParseError, match=f"^{re.escape(str(path))}: line 2: "):
             evaluate.read_keypoint_instances(path)

@@ -110,7 +110,8 @@ class TestSolveLevelMatchesReference:
 
     def check(self, shape, iterations, eps):
         a, b, u, v = level_inputs(*shape, seed=shape[0] * 100 + shape[1])
-        got = flow._solve_level(a, b, u, v, self.ALPHA, iterations, eps)
+        grid = np.indices(shape, dtype=np.float64)
+        got = flow._solve_level(a, b, u, v, grid, self.ALPHA, iterations, eps)
         want = solve_level_oracle(a, b, u, v, self.ALPHA, iterations, eps)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.dtype == w.dtype

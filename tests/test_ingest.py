@@ -257,6 +257,62 @@ class TestScoresCsv:
         assert np.all(np.abs(back.values - v) <= 5e-10 + np.spacing(v))
 
 
+# values a fixed-point formatter gets wrong first: exact and near ties at d
+# places, signed zeros, subnormals, integers past 2**52, overflow and non-finite
+def near_tie(k, d):
+    return (k + 0.5) / 10 ** d
+
+
+FIXED_VALUES = st.one_of(
+    st.floats(),
+    st.floats(min_value=0.0, max_value=1e4),
+    st.builds(near_tie, st.integers(0, 10 ** 12), st.sampled_from([2, 9])),
+)
+
+
+class TestFixedText:
+    """``fixed_text`` against ``format(x, f".{d}f")``, value by value."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=FIXED_VALUES, d=st.sampled_from([2, 9]))
+    @example(x=0.125, d=2)
+    @example(x=0.375, d=2)
+    @example(x=near_tie(12345, 2), d=2)
+    @example(x=near_tie(267, 2), d=2)
+    @example(x=near_tie(123456789, 9), d=9)
+    @example(x=near_tie(1, 9), d=9)
+    @example(x=-0.0, d=2)
+    @example(x=-0.0, d=9)
+    @example(x=-0.001, d=2)
+    @example(x=-1.5, d=9)
+    @example(x=5e-324, d=9)
+    @example(x=2.2250738585072009e-308, d=2)
+    @example(x=2.0 ** 53, d=2)
+    @example(x=2.0 ** 52 / 100 - 0.25, d=2)
+    @example(x=1e300, d=9)
+    @example(x=1.7976931348623157e308, d=2)
+    @example(x=float("inf"), d=2)
+    @example(x=float("-inf"), d=9)
+    @example(x=float("nan"), d=9)
+    @example(x=struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0], d=2)  # signaling
+    def test_value_matches_format(self, x, d):
+        assert ingest.fixed_text([[x]], d) == format(x, f".{d}f") + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 5), data=st.data(),
+           sep=st.sampled_from([",", " ", ";"]), end=st.sampled_from(["\n", " "]))
+    def test_table_matches_format(self, rows, cols, data, sep, end):
+        table = data.draw(st.lists(st.lists(FIXED_VALUES, min_size=cols, max_size=cols),
+                                   min_size=rows, max_size=rows))
+        decimals = data.draw(st.one_of(st.sampled_from([0, 2, 9]),
+                                       st.lists(st.sampled_from([0, 2, 9]),
+                                                min_size=cols, max_size=cols)))
+        places = np.broadcast_to(decimals, cols).tolist()
+        want = "".join(sep.join(format(v, f".{d}f") for v, d in zip(row, places)) + end
+                       for row in table)
+        assert ingest.fixed_text(table, decimals, sep=sep, end=end) == want
+
+
 class TestScheduleJson:
     def test_roundtrip(self, tmp_path):
         sched = KeyframeSchedule(

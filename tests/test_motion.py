@@ -102,6 +102,10 @@ class TestDetectPeaks:
         with pytest.raises(errors.InvariantViolationError):
             motion.Extrema(peaks=peaks, valleys=valleys)
 
+    def test_extrema_rejects_prominence_count(self):
+        with pytest.raises(errors.InvariantViolationError):
+            motion.Extrema(peaks=[2, 4], prominences=[0.5])
+
     def test_flat_curve_has_no_peaks(self):
         assert motion.detect_peaks(normalized(np.zeros(20))) == []
 
@@ -222,6 +226,8 @@ class TestExactAgainstOracle:
                     detect_peaks_oracle(x, min_distance, min_prominence)
                 assert motion.detect_valleys(curve, min_distance, min_prominence) == \
                     detect_peaks_oracle(negated, min_distance, min_prominence)
+                extrema = motion.detect_extrema(curve, min_distance, min_prominence)
+                assert extrema.prominences == [prominence_oracle(x, i) for i in extrema.peaks]
 
     def test_ascending_sawtooth_is_linear(self):
         # every walk outward from a tooth crosses all lower teeth: quadratic for

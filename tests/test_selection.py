@@ -150,6 +150,20 @@ class TestSelectKeyframes:
         assert sched.valleys_used
         assert set(sched.valleys_used) <= set(extrema.valleys)
 
+    def test_prominences_come_from_the_callers_extrema(self, monkeypatch):
+        curve = burst_curve()
+        extrema = motion.detect_extrema(curve)
+        bare = motion.Extrema(peaks=extrema.peaks, valleys=extrema.valleys)
+        expected = selection.select_keyframes(curve, bare, selection.SelectionParams(24))
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("prominences computed again during selection")
+
+        monkeypatch.setattr(selection, "peak_prominences", no_pass)
+        sched = selection.select_keyframes(curve, extrema, selection.SelectionParams(24))
+        assert sched == expected
+        assert sched.peaks_used
+
     def test_invalid_k(self):
         with pytest.raises(errors.InvalidKError):
             selection.select_keyframes(flat_curve(48), motion.Extrema(),

@@ -69,6 +69,7 @@ INDEX_SITES = {
     "interp_pos_embeddings.n_new": (lambda v: audiofeat.interp_pos_embeddings(MAT, v), 3),
     "segment_features.time_steps": (lambda v: audiofeat.segment_features(MAT, v), 3),
     "gather_keyframe_rows.indices": (lambda v: audiofeat.gather_keyframe_rows(MAT, [0, v]), 3),
+    "fixed_text.decimals": (lambda v: ingest.fixed_text([[1.5, 2.5]], [2, v]), 3),
     "FlowParams.iterations": (lambda v: flow.FlowParams(iterations=v), 3),
     "FlowParams.pyramid_levels": (lambda v: flow.FlowParams(pyramid_levels=v), 3),
     "PlotSpec.width": (lambda v: plot.render_plot(plot.PlotSpec(v, 40, NORM, Extrema())), 3),
