@@ -218,13 +218,13 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def fixed_text(table, decimals, sep: str = ",", end: str = "\n") -> str:
+def fixed_text(table, decimals, end: str = "\n") -> str:
     """Rows of a 2-D table as text, every value exactly ``format(x, f".{d}f")``.
 
     ``decimals`` is one d for every column or one per column, from 0 to 18
     so that 10**d is an exact float and the fraction digits fit an int64.
-    The values of a row are joined by ``sep`` and each row ends with
-    ``end``; both are single ASCII characters.
+    The values of a row are joined by commas and each row ends with ``end``,
+    a single ASCII character.
 
     ``y = x * 10**d`` is the float nearest the exact product, and below
     2**52 every half-integer is a float, so none lies strictly between the
@@ -250,7 +250,7 @@ def fixed_text(table, decimals, sep: str = ",", end: str = "\n") -> str:
     # each column's d fraction digits lead the dmax fraction places
     frac *= 10 ** (dmax - d)
     wi = len(str(whole.max()))
-    # per value: wi integer digits, the point, dmax fraction digits, a separator
+    # per value: wi integer digits, the point, dmax fraction digits, a comma
     chars = np.empty((rows, cols, wi + dmax + 2), dtype=np.uint8)
     keep = np.ones(chars.shape, dtype=bool)
     for k in range(wi - 1):
@@ -271,7 +271,7 @@ def fixed_text(table, decimals, sep: str = ",", end: str = "\n") -> str:
     put_digits(whole, 0, wi)
     put_digits(frac, wi + 1, wi + 1 + dmax)
     chars[:, :, wi] = ord(".")
-    chars[:, :, -1] = ord(sep)
+    chars[:, :, -1] = ord(",")
     chars[:, -1, -1] = ord(end)
     slow = ~fast
     if not slow.any():

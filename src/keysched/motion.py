@@ -65,13 +65,15 @@ class MotionCurve:
 class Extrema:
     """Sorted peak and valley indices detected on one curve.
 
-    ``prominences``, when given, holds each peak's prominence on that curve,
-    in peak order; ``detect_extrema`` fills it in from its own pass.
+    ``prominences``, when given, holds each peak's prominence on that same
+    curve, in peak order; ``detect_extrema`` fills it in from its own pass.
+    Consumers trust them and do not check them against the curve, so extrema
+    moved to another curve must drop them. They take part in equality.
     """
 
     peaks: list[int] = field(default_factory=list)
     valleys: list[int] = field(default_factory=list)
-    prominences: list[float] | None = field(default=None, compare=False)
+    prominences: list[float] | None = None
 
     def __post_init__(self):
         self.peaks = [as_index(i, "peaks") for i in self.peaks]

@@ -169,7 +169,8 @@ def select_keyframes(
     Frame 0 is always included. Up to target_count/2 - 1 peaks are chosen
     from ``extrema.peaks`` (all of them when fewer exist), ranked by
     ``extrema.prominences`` or, for extrema built without them, by
-    ``peak_prominences`` on the curve. One valley is inserted between each
+    ``peak_prominences`` on the curve. Given prominences are used as they
+    are, so they must have been measured on ``curve``. One valley is inserted between each
     pair of consecutive chosen peaks, taken from
     ``extrema.valleys`` (see ``valley_between``), and the remaining budget is
     spread over the gaps between selected frames proportionally to gap size,

@@ -300,17 +300,17 @@ class TestFixedText:
 
     @settings(max_examples=150, deadline=None)
     @given(rows=st.integers(1, 12), cols=st.integers(1, 5), data=st.data(),
-           sep=st.sampled_from([",", " ", ";"]), end=st.sampled_from(["\n", " "]))
-    def test_table_matches_format(self, rows, cols, data, sep, end):
+           end=st.sampled_from(["\n", " "]))
+    def test_table_matches_format(self, rows, cols, data, end):
         table = data.draw(st.lists(st.lists(FIXED_VALUES, min_size=cols, max_size=cols),
                                    min_size=rows, max_size=rows))
         decimals = data.draw(st.one_of(st.sampled_from([0, 2, 9]),
                                        st.lists(st.sampled_from([0, 2, 9]),
                                                 min_size=cols, max_size=cols)))
         places = np.broadcast_to(decimals, cols).tolist()
-        want = "".join(sep.join(format(v, f".{d}f") for v, d in zip(row, places)) + end
+        want = "".join(",".join(format(v, f".{d}f") for v, d in zip(row, places)) + end
                        for row in table)
-        assert ingest.fixed_text(table, decimals, sep=sep, end=end) == want
+        assert ingest.fixed_text(table, decimals, end=end) == want
 
 
 class TestScheduleJson:

@@ -106,6 +106,11 @@ class TestDetectPeaks:
         with pytest.raises(errors.InvariantViolationError):
             motion.Extrema(peaks=[2, 4], prominences=[0.5])
 
+    def test_extrema_equality_includes_prominences(self):
+        assert motion.Extrema(peaks=[2], prominences=[0.5]) != motion.Extrema(peaks=[2])
+        assert (motion.Extrema(peaks=[2], prominences=[0.5])
+                != motion.Extrema(peaks=[2], prominences=[0.25]))
+
     def test_flat_curve_has_no_peaks(self):
         assert motion.detect_peaks(normalized(np.zeros(20))) == []
 

@@ -164,6 +164,16 @@ class TestSelectKeyframes:
         assert sched == expected
         assert sched.peaks_used
 
+    def test_given_prominences_rank_the_peaks(self):
+        x = two_peak_curve().values.copy()
+        x[30] = 0.8
+        curve = normalized(x)
+        params = selection.SelectionParams(4)
+        bare = motion.Extrema(peaks=[10, 30])
+        assert selection.select_keyframes(curve, bare, params).peaks_used == [10]
+        given = motion.Extrema(peaks=[10, 30], prominences=[0.1, 0.9])
+        assert selection.select_keyframes(curve, given, params).peaks_used == [30]
+
     def test_invalid_k(self):
         with pytest.raises(errors.InvalidKError):
             selection.select_keyframes(flat_curve(48), motion.Extrema(),
