@@ -10,6 +10,7 @@ class in ``keysched.errors``; an OSError exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import audiofeat, evaluate, flow, ingest, motion, schedule, selection
@@ -82,7 +83,9 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call."""
     codes = "; ".join(f"{e.exit_code}: {e.summary}" for e in (KeyschedError, *STAGE_ERRORS))
     parser = argparse.ArgumentParser(
         prog="keysched",
@@ -98,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true",
                    help="divide each score by the pixel count")
     p.add_argument("--out", required=True, help="output scores CSV")
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("select", help="select keyframes from a scores CSV")
     p.add_argument("--scores", required=True)
@@ -107,26 +109,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pick peaks with the seeded sampler instead of by prominence")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output schedule JSON")
-    p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("spectrogram", help="log-mel spectrogram CSV from a 16 kHz WAV")
     p.add_argument("--wav", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_spectrogram)
 
     p = sub.add_parser("patches", help="print the temporal patch-token count")
     p.add_argument("--t-a", dest="t_a", type=int, required=True,
                    help="spectrogram frame count")
     p.add_argument("--kernel", type=int, default=audiofeat.PATCH_KERNEL)
     p.add_argument("--stride", type=int, required=True)
-    p.set_defaults(func=cmd_patches)
 
     p = sub.add_parser("windows", help="emit a FreeNoise window plan as JSON")
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--window", type=int, default=schedule.FREENOISE_WINDOW)
     p.add_argument("--stride", type=int, default=schedule.FREENOISE_STRIDE)
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_windows)
 
     p = sub.add_parser("eval-ap", help="average precision of keypoint instances")
     p.add_argument("--instances", required=True,
@@ -134,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True, help="distance threshold")
     p.add_argument("--strict", action="store_true",
                    help="require distance strictly below the threshold")
-    p.set_defaults(func=cmd_eval_ap)
 
     p = sub.add_parser("plot", help="render a scores CSV as an SVG chart")
     p.add_argument("--scores", required=True)
@@ -142,15 +139,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=800)
     p.add_argument("--height", type=int, default=300)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_plot)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up by name on every call, so a command rebound after the parser
+    # was built is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (KeyschedError, OSError) as exc:
         print(f"keysched {args.command}: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, KeyschedError) else IngestError.exit_code

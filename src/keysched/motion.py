@@ -3,8 +3,10 @@
 smooth(): centered moving average with boundary truncation.
 normalize(): per-clip min-max scaling to [0, 1]; a range below FLAT_RANGE is flat.
 detect_peaks() / detect_valleys(): local extrema filtered by topographic
-prominence and a minimum inter-peak distance; extrema and prominences come
-from one linear-time monotonic-stack pass per side.
+prominence and a minimum inter-peak distance. Prominences are exact and take
+linear time in the worst case: vectorized peeling rounds settle most peaks
+(each round drops every peak lower than both of its neighbouring peaks,
+which fixes its two bases), and a monotonic stack finishes the peaks that remain.
 detect_extrema(): both sides, plus the kept peaks' prominences from the same
 pass, which downstream peak ranking uses.
 peak_prominences(): exact prominence of any index (0.0 off a peak plateau),
@@ -35,6 +37,9 @@ DEFAULT_MIN_PROMINENCE = 0.1
 # floor sits three decades under the 1e-9 resolution of a scores CSV, so no
 # non-constant curve read from one is flat.
 FLAT_RANGE = 1e-12
+# Below this many peaks one vectorized peeling round costs more than running
+# the monotonic stack over them in Python.
+_PEEL_MIN_PEAKS = 64
 
 
 @dataclass
@@ -116,17 +121,17 @@ def normalize(curve: MotionCurve) -> MotionCurve:
     return MotionCurve((x - lo) / (hi - lo), stage=STAGE_NORMALIZED)
 
 
-def _span_minima(values: list[float]) -> list[float]:
-    """For each value, the minimum from it back to the nearest strictly higher value.
+def _stack_bases(heights: list[float], gaps: list[float]) -> list[float]:
+    """For each peak, the minimum of the gaps back to the nearest strictly higher peak.
 
-    One monotonic-stack pass: the stack holds values that strictly decrease
-    from the bottom, each with the minimum of its own span, and a new value
-    absorbs the spans of every entry it pops.
+    ``gaps[j]`` is the terrain minimum just before peak ``j``. One
+    monotonic-stack pass: the stack holds heights that strictly decrease from
+    the bottom, each with the minimum of its own span, and a new peak absorbs
+    the spans of every entry it pops.
     """
     out = []
     stack: list[tuple[float, float]] = []
-    for h in values:
-        m = h
+    for h, m in zip(heights, gaps):
         while stack and stack[-1][0] <= h:
             s = stack.pop()[1]
             if s < m:
@@ -141,20 +146,60 @@ def _run_prominences(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Topographic prominence: from the run, each side's minimum up to strictly
     higher terrain or the array end, and the height above the higher of the
-    two. The minima are taken only over turning runs (both ends, maxima,
-    minima), because a side's minimum always lies on one; being minima of the
-    same elements, they are exactly those of a walk over every index. A
-    local-maximum run (both neighbours strictly lower) has prominence > 0;
-    every other run, the array ends included, has exactly 0.
+    two. A local-maximum run (both neighbours strictly lower) has prominence
+    > 0; every other run, the array ends included, has exactly 0.
+
+    Strictly higher terrain beside a peak rises to a strictly higher peak, so
+    a side's base is the minimum of the gaps (terrain minima between
+    neighbouring peaks, the array ends included) back to the nearest strictly
+    higher peak, or to the end. Peeling rounds find most bases in whole-array
+    passes: a peak strictly lower than both current neighbours has them as
+    its nearest strictly higher peaks, so it takes the gap on each side as
+    that side's base, the two gaps merge by ``min`` and the peak is dropped.
+    A dropped peak is never the nearest strictly higher peak of one that
+    remains, so later rounds stay exact. Once a round drops under 1/8 of the
+    peaks left (ascending or V-shaped teeth lose one per round), or few are
+    left, a monotonic stack over (height, gap) pairs finishes, so the worst
+    case stays linear. Only comparisons and ``min`` run before the one
+    subtraction per peak, so no value is rounded.
     """
     first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
     v = x[first]
-    up = v[1:] > v[:-1]
-    turn = np.concatenate(([0], np.flatnonzero(up[:-1] != up[1:]) + 1, [v.size - 1]))
-    tv = v[turn].tolist()
-    base = np.maximum(_span_minima(tv), _span_minima(tv[::-1])[::-1])
     prom = np.zeros(v.size)
-    prom[turn] = v[turn] - base
+    # Behind infinite walls at both ends, peaks and minima alternate and a
+    # minimum comes first and last. Neighbouring runs are never equal, so a
+    # run higher than neither neighbour is a minimum, and the minima are the
+    # gaps: the terrain minimum before each peak, plus the one after the last.
+    walled = np.concatenate(([np.inf], v, [np.inf]))
+    rise, fall = v > walled[:-2], v > walled[2:]
+    pk = np.flatnonzero(rise & fall)
+    if pk.size == 0:
+        return first, prom
+    gaps = v[~(rise | fall)]
+    left = np.empty(pk.size)
+    right = np.empty(pk.size)
+    alive = np.arange(pk.size)
+    heights = v[pk]
+    while alive.size > _PEEL_MIN_PEAKS:
+        walls = np.concatenate(([np.inf], heights, [np.inf]))
+        drop = (heights < walls[:-2]) & (heights < walls[2:])
+        d = np.flatnonzero(drop)
+        before, after = gaps[d], gaps[d + 1]
+        left[alive[d]] = before
+        right[alive[d]] = after
+        # dropped peaks are never neighbours, so the merged gap can take the
+        # place of the one after each dropped peak
+        gaps[d + 1] = np.minimum(before, after)
+        keep = ~drop
+        gaps = np.concatenate((gaps[:-1][keep], gaps[-1:]))
+        alive, heights = alive[keep], heights[keep]
+        if 8 * d.size < drop.size:
+            break
+    if alive.size:
+        h, g = heights.tolist(), gaps.tolist()
+        left[alive] = _stack_bases(h, g[:-1])
+        right[alive] = _stack_bases(h[::-1], g[:0:-1])[::-1]
+    prom[pk] = v[pk] - np.maximum(left, right)
     return first, prom
 
 
@@ -203,7 +248,7 @@ def detect_peaks(
     """Peak indices of a normalized curve.
 
     Candidates are interior local maxima (leftmost index of a plateau), found
-    with their prominences in one linear-time monotonic-stack pass per side.
+    with their prominences by ``_run_prominences`` in linear time.
     They are filtered to prominence >= ``min_prominence``, then thinned so any
     two survivors sit >= ``min_distance`` apart, keeping higher peaks first
     and breaking height ties toward the lower index.

@@ -47,6 +47,44 @@ def prominence_oracle(x, i):
     return h - max(left_base, right_base)
 
 
+def _span_minima(values):
+    """For each value, the minimum from it back to the nearest strictly higher value.
+
+    One monotonic-stack pass: the stack holds values that strictly decrease
+    from the bottom, each with the minimum of its own span, and a new value
+    absorbs the spans of every entry it pops.
+    """
+    out = []
+    stack = []
+    for h in values:
+        m = h
+        while stack and stack[-1][0] <= h:
+            s = stack.pop()[1]
+            if s < m:
+                m = s
+        stack.append((h, m))
+        out.append(m)
+    return out
+
+
+def run_prominences_oracle(x):
+    """Run starts and run prominences from a monotonic stack over every turning run.
+
+    The minima are taken only over turning runs (both ends, maxima, minima),
+    because a side's minimum always lies on one; being minima of the same
+    elements, they are exactly those of a walk over every index.
+    """
+    first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    v = x[first]
+    up = v[1:] > v[:-1]
+    turn = np.concatenate(([0], np.flatnonzero(up[:-1] != up[1:]) + 1, [v.size - 1]))
+    tv = v[turn].tolist()
+    base = np.maximum(_span_minima(tv), _span_minima(tv[::-1])[::-1])
+    prom = np.zeros(v.size)
+    prom[turn] = v[turn] - base
+    return first, prom
+
+
 def detect_peaks_oracle(x, min_distance=5, min_prominence=0.1):
     """Full detection pipeline rebuilt from the definitions above."""
     survivors = [i for i in plateau_peaks_oracle(x)

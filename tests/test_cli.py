@@ -319,6 +319,25 @@ class TestExitCodes:
         assert "keysched patches: stub failure" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    PATCHES = ["patches", "--t-a", "196", "--stride", "4"]
+
+    def test_two_calls_build_the_parser_once(self, capsys):
+        cli.build_parser.cache_clear()
+        assert run(self.PATCHES) == 0
+        assert run(self.PATCHES) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert capsys.readouterr().out == "46\n46\n"
+
+    def test_command_patched_after_first_call_runs(self, monkeypatch, capsys):
+        assert run(self.PATCHES) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_patches", lambda args: seen.append(args.t_a) or 5)
+        assert run(self.PATCHES) == 5
+        assert seen == [196]
+
+
 class TestUndecodableInput:
     @pytest.fixture
     def bad_file(self, tmp_path):

@@ -1,4 +1,5 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keysched import errors, motion
-from oracles import detect_peaks_oracle, plateau_peaks_oracle, prominence_oracle
+from oracles import (
+    detect_peaks_oracle,
+    plateau_peaks_oracle,
+    prominence_oracle,
+    run_prominences_oracle,
+)
 
 
 def normalized(values):
@@ -234,11 +240,17 @@ class TestExactAgainstOracle:
                 extrema = motion.detect_extrema(curve, min_distance, min_prominence)
                 assert extrema.prominences == [prominence_oracle(x, i) for i in extrema.peaks]
 
-    def test_ascending_sawtooth_is_linear(self):
+    @pytest.mark.parametrize("heights", [
+        pytest.param(np.arange(1, 4001), id="ascending"),
+        pytest.param(np.arange(4000, 0, -1), id="descending"),
+        pytest.param(np.abs(np.arange(-2000, 2000)) + 1, id="v-shaped"),
+    ])
+    def test_sawtooth_is_linear(self, heights):
         # every walk outward from a tooth crosses all lower teeth: quadratic for
-        # a per-peak walk, one stack pass here
+        # a per-peak walk; and a peeling round drops one tooth, so the stack
+        # finishes nearly all of them
         x = np.zeros(8000)
-        x[1::2] = np.arange(1, 4001)
+        x[1::2] = heights
         curve = motion.normalize(motion.MotionCurve(x))
         indices = list(range(x.size))
         start = time.perf_counter()
@@ -250,3 +262,52 @@ class TestExactAgainstOracle:
         assert extrema.valleys == detect_peaks_oracle((curve.values.max() - curve.values).tolist())
         assert proms == [prominence_oracle(v, i) for i in indices]
         assert elapsed < 2.0
+
+
+def teeth(heights):
+    """Zero-separated teeth of the given heights, starting and ending on a zero."""
+    x = np.zeros(2 * len(heights) + 1)
+    x[1::2] = heights
+    return x.tolist()
+
+
+def seeded_curve(kind, size, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "integers":
+        return rng.integers(0, 6, size).astype(float)
+    if kind == "cents":
+        return rng.integers(0, 101, size) / 100
+    return rng.random(size)
+
+
+# long enough for both the peeling rounds and the stack remainder to run
+long_curves = st.one_of(
+    plateau_values,
+    st.builds(seeded_curve, st.sampled_from(["integers", "cents", "floats"]),
+              st.integers(min_value=1, max_value=4000), st.integers(0, 2**32 - 1)),
+)
+
+
+class TestPeelingAgainstStackOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(values=long_curves)
+    @example(values=[0.0, 1.0, 2.0])
+    @example(values=[0.0, 1.0, 0.0])
+    @example(values=[0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    @example(values=teeth(range(1, 301)))
+    @example(values=teeth(range(300, 0, -1)))
+    @example(values=teeth(np.abs(np.arange(-150, 150)) + 1))
+    def test_bytes_match_stack_oracle(self, values):
+        x = np.asarray(values, dtype=float)
+        first, prom = motion._run_prominences(x)
+        oracle_first, oracle_prom = run_prominences_oracle(x)
+        assert first.tobytes() == oracle_first.tobytes()
+        assert prom.tobytes() == oracle_prom.tobytes()
+        curve = motion.normalize(motion.MotionCurve(x))
+        indices = list(range(x.size))
+        ours = motion.peak_prominences(curve, indices), motion.detect_extrema(curve)
+        with mock.patch.object(motion, "_run_prominences", run_prominences_oracle):
+            theirs = motion.peak_prominences(curve, indices), motion.detect_extrema(curve)
+        assert np.array(ours[0]).tobytes() == np.array(theirs[0]).tobytes()
+        assert (ours[1].peaks, ours[1].valleys) == (theirs[1].peaks, theirs[1].valleys)
+        assert np.array(ours[1].prominences).tobytes() == np.array(theirs[1].prominences).tobytes()
