@@ -75,19 +75,6 @@ class FlowParams:
             raise InvariantViolationError("convergence_eps must be finite and >= 0")
 
 
-def _conv3(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """3x3 convolution with replicate borders."""
-    p = np.pad(x, 1, mode="edge")
-    out = np.zeros_like(x)
-    h, w = x.shape
-    for dy in range(3):
-        for dx in range(3):
-            k = kernel[dy, dx]
-            if k:
-                out += k * p[dy:dy + h, dx:dx + w]
-    return out
-
-
 def _gradients(img: np.ndarray):
     """Central differences over a replicate-padded image."""
     p = np.pad(img, 1, mode="edge")
@@ -97,8 +84,9 @@ def _gradients(img: np.ndarray):
 
 
 def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample img at fractional coordinates, clamping to the border."""
-    h, w = img.shape
+    """Sample img (one plane or a stack of planes over its last two axes) at
+    fractional coordinates, clamping to the border; xs and ys broadcast."""
+    h, w = img.shape[-2:]
     xs = np.clip(xs, 0.0, w - 1.0)
     ys = np.clip(ys, 0.0, h - 1.0)
     x0 = np.floor(xs).astype(np.intp)
@@ -107,29 +95,28 @@ def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xs - x0
     fy = ys - y0
-    top = img[y0, x0] * (1.0 - fx) + img[y0, x1] * fx
-    bot = img[y1, x0] * (1.0 - fx) + img[y1, x1] * fx
+    top = img[..., y0, x0] * (1.0 - fx) + img[..., y0, x1] * fx
+    bot = img[..., y1, x0] * (1.0 - fx) + img[..., y1, x1] * fx
     return top * (1.0 - fy) + bot * fy
 
 
-def _resize_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    h, w = shape
-    sh, sw = img.shape
-    gx, gy = np.meshgrid(np.linspace(0.0, sw - 1.0, w), np.linspace(0.0, sh - 1.0, h))
-    return _bilinear_sample(img, gx, gy)
-
-
 def _downsample(img: np.ndarray) -> np.ndarray:
-    return _conv3(img, _BLUR_KERNEL)[::2, ::2]
+    """Blur with replicate borders and keep every second row and column;
+    only the kept pixels are blurred."""
+    p = np.pad(img, 1, mode="edge")
+    h, w = img.shape
+    out = np.zeros(((h + 1) // 2, (w + 1) // 2))
+    for (dy, dx), k in np.ndenumerate(_BLUR_KERNEL):
+        out += k * p[dy:dy + h:2, dx:dx + w:2]
+    return out
 
 
-def _linearize(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
-               grid: np.ndarray, alpha: float):
+def _linearize(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float):
     """Warp b by the current flow; return the gradients of the mean image,
-    the temporal difference and the Jacobi denominator. ``grid`` is the
-    level's ``np.indices`` in float64: row, then column coordinates."""
-    gy, gx = grid
-    b_warped = _bilinear_sample(b, gx + u, gy + v)
+    the temporal difference and the Jacobi denominator."""
+    h, w = a.shape
+    b_warped = _bilinear_sample(b, np.arange(w, dtype=np.float64) + uv[0],
+                                np.arange(h, dtype=np.float64)[:, None] + uv[1])
     avg = (a + b_warped) / 2.0
     ix, iy = _gradients(avg)
     it = b_warped - a
@@ -137,8 +124,8 @@ def _linearize(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
     return ix, iy, it, denom
 
 
-def _solve_level(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
-                 grid: np.ndarray, alpha: float, iterations: int, eps: float):
+def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
+                 iterations: int, eps: float) -> np.ndarray:
     """Warp b by the current flow, then Jacobi-iterate the increment.
 
     The increment (du, dv) lives as one (2, h, w) array in the interior of a
@@ -158,7 +145,7 @@ def _solve_level(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
     # the discarded border values finite
     terms = np.zeros((4, h + 2, row))
     terms[3] = 1.0
-    terms[:, 1:-1, 1:-1] = _linearize(a, b, u, v, grid, alpha)
+    terms[:, 1:-1, 1:-1] = _linearize(a, b, uv, alpha)
     terms = terms.reshape(4, -1)[:, start:start + size]
     grad, it, denom = terms[:2], terms[2], terms[3]
     cur, nxt = np.zeros((2, h + 2, row)), np.zeros((2, h + 2, row))
@@ -197,7 +184,7 @@ def _solve_level(a: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray,
         cur, nxt = nxt, cur
         if delta < eps:
             break
-    return u + cur[0, 1:-1, 1:-1], v + cur[1, 1:-1, 1:-1]
+    return uv + cur[:, 1:-1, 1:-1]
 
 
 def _pair_flows(seq: FrameSequence, params: FlowParams) -> Iterator[FlowField]:
@@ -205,8 +192,8 @@ def _pair_flows(seq: FrameSequence, params: FlowParams) -> Iterator[FlowField]:
 
     The sequence already holds frames of one size; the coarsest level is
     checked once, before any solve. Each frame's pyramid is built once; only
-    the previous frame's stays live while the next pair is solved. The pixel
-    grid of each level is built once, from the first frame's pyramid.
+    the previous frame's stays live while the next pair is solved. The flow
+    is one (2, h, w) array of (u, v) from the coarsest level to the finest.
     """
     h, w = seq.height, seq.width
     levels = params.pyramid_levels
@@ -217,27 +204,23 @@ def _pair_flows(seq: FrameSequence, params: FlowParams) -> Iterator[FlowField]:
             f"{levels} levels (need >= {MIN_COARSE_SIZE})"
         )
     alpha = params.alpha / 255.0
-    prev = grids = None
+    prev = None
     for frame in seq.frames:
         pyr = [frame.pixels]
         for _ in range(levels - 1):
             pyr.append(_downsample(pyr[-1]))
-        if prev is None:
-            grids = [np.indices(p.shape, dtype=np.float64) for p in pyr]
-        else:
-            u = np.zeros_like(pyr[-1])
-            v = np.zeros_like(pyr[-1])
+        if prev is not None:
+            uv = np.zeros((2, *pyr[-1].shape))
             for level in range(levels - 1, -1, -1):
                 if level != levels - 1:
-                    ch, cw = u.shape
+                    _, ch, cw = uv.shape
                     fh, fw = pyr[level].shape
-                    u = _resize_bilinear(u, (fh, fw)) * (fw / cw)
-                    v = _resize_bilinear(v, (fh, fw)) * (fh / ch)
-                u, v = _solve_level(
-                    prev[level], pyr[level], u, v, grids[level],
-                    alpha, params.iterations, params.convergence_eps,
-                )
-            yield FlowField(u=u, v=v)
+                    uv = _bilinear_sample(uv, np.linspace(0.0, cw - 1.0, fw),
+                                          np.linspace(0.0, ch - 1.0, fh)[:, None])
+                    uv *= np.array([fw / cw, fh / ch])[:, None, None]
+                uv = _solve_level(prev[level], pyr[level], uv, alpha,
+                                  params.iterations, params.convergence_eps)
+            yield FlowField(u=uv[0], v=uv[1])
         prev = pyr
 
 

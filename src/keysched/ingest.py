@@ -92,7 +92,7 @@ class AudioClip:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size < 1:
             raise InvariantViolationError("audio clip needs at least one mono sample")
-        if self.samples.size and (self.samples.min() < -1.0 or self.samples.max() > 1.0):
+        if self.samples.min() < -1.0 or self.samples.max() > 1.0:
             raise InvariantViolationError("sample values must lie in [-1, 1]")
 
     def __len__(self) -> int:

@@ -195,10 +195,10 @@ def _run_prominences(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         alive, heights = alive[keep], heights[keep]
         if 8 * d.size < drop.size:
             break
-    if alive.size:
-        h, g = heights.tolist(), gaps.tolist()
-        left[alive] = _stack_bases(h, g[:-1])
-        right[alive] = _stack_bases(h[::-1], g[:0:-1])[::-1]
+    # the highest peak is never dropped, so the stack always has peaks left
+    h, g = heights.tolist(), gaps.tolist()
+    left[alive] = _stack_bases(h, g[:-1])
+    right[alive] = _stack_bases(h[::-1], g[:0:-1])[::-1]
     prom[pk] = v[pk] - np.maximum(left, right)
     return first, prom
 

@@ -7,7 +7,8 @@ import pytest
 from conftest import moving_square_frames
 from keysched import errors, flow
 from keysched.ingest import Frame, FrameSequence
-from oracles import hs_energy_oracle, solve_level_oracle, translated_texture
+from oracles import (bilinear_sample_oracle, conv3_oracle, hs_energy_oracle,
+                     solve_level_oracle, translated_texture)
 
 
 def as_frame(pixels):
@@ -55,7 +56,7 @@ class TestEstimateFlow:
         rng = np.random.default_rng(1234)
         base = rng.random((32, 32))
         for _ in range(3):
-            base = flow._conv3(base, flow._BLUR_KERNEL)
+            base = conv3_oracle(base, flow._BLUR_KERNEL)
         shifted = np.roll(base, 1, axis=1)
         alpha_eff = flow.DEFAULT_ALPHA / 255.0
         energies = []
@@ -110,8 +111,7 @@ class TestSolveLevelMatchesReference:
 
     def check(self, shape, iterations, eps):
         a, b, u, v = level_inputs(*shape, seed=shape[0] * 100 + shape[1])
-        grid = np.indices(shape, dtype=np.float64)
-        got = flow._solve_level(a, b, u, v, grid, self.ALPHA, iterations, eps)
+        got = flow._solve_level(a, b, np.stack((u, v)), self.ALPHA, iterations, eps)
         want = solve_level_oracle(a, b, u, v, self.ALPHA, iterations, eps)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.dtype == w.dtype
@@ -129,6 +129,57 @@ class TestSolveLevelMatchesReference:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_defaults(self, shape):
         self.check(shape, flow.DEFAULT_ITERATIONS, flow.DEFAULT_CONVERGENCE_EPS)
+
+
+class TestDownsampleMatchesReference:
+    """Blurring only the kept pixels against blurring every pixel with the
+    replicate-border convolution and then decimating, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(8, 8), (17, 9), (9, 17), (33, 64), (128, 128)])
+    def test_equals_blur_then_decimate(self, shape):
+        img = np.random.default_rng(shape[0] * 1000 + shape[1]).random(shape)
+        got = flow._downsample(img)
+        want = conv3_oracle(img, flow._BLUR_KERNEL)[::2, ::2]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestStackedBilinearSample:
+    """One sample of the stacked (u, v) planes at broadcast coordinates
+    against each plane sampled alone at full coordinate grids, bit for bit."""
+
+    SHAPES = [(8, 8), (9, 17), (17, 9), (32, 48)]
+
+    def check(self, img, xs, ys, grid_x, grid_y):
+        got = flow._bilinear_sample(img, xs, ys)
+        planes = zip(img.reshape(-1, *img.shape[-2:]), got.reshape(-1, *got.shape[-2:]))
+        for plane, g in planes:
+            want = bilinear_sample_oracle(plane, grid_x, grid_y)
+            assert g.shape == want.shape and g.dtype == want.dtype
+            assert g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_upsampling_coordinates(self, shape):
+        ch, cw = shape
+        fh, fw = 2 * ch + ch % 2, 2 * cw - cw % 2
+        uv = np.random.default_rng(ch * 100 + cw).standard_normal((2, ch, cw))
+        xs = np.linspace(0.0, cw - 1.0, fw)
+        ys = np.linspace(0.0, ch - 1.0, fh)
+        self.check(uv, xs, ys[:, None], *np.meshgrid(xs, ys))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_warp_coordinates(self, shape):
+        h, w = shape
+        rng = np.random.default_rng(h * 100 + w + 1)
+        uv, flow_uv = rng.standard_normal((2, 2, h, w))
+        flow_uv *= 2.0
+        xs = np.arange(w, dtype=np.float64) + flow_uv[0]
+        ys = np.arange(h, dtype=np.float64)[:, None] + flow_uv[1]
+        gy, gx = np.indices(shape, dtype=np.float64)
+        grid = (gx + flow_uv[0], gy + flow_uv[1])
+        self.check(uv, xs, ys, *grid)
+        # a single image samples through the same code
+        self.check(uv[0], xs, ys, *grid)
 
 
 class TestMotionScore:
