@@ -25,8 +25,9 @@ def _prepare_curve(scores_path: str):
 
 
 def cmd_score(args) -> int:
-    seq = ingest.load_frame_sequence(args.frames, fps=args.fps)
-    curve = flow.motion_curve(seq, flow.FlowParams(), normalize=args.normalize)
+    # frames are read as the solver reaches them, one at a time
+    curve = flow.motion_curve(ingest.FrameSource(args.frames), flow.FlowParams(),
+                              normalize=args.normalize)
     _atomic_write_text(args.out, ingest.scores_csv_text(curve))
     return 0
 
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="compute per-frame motion scores from PGM frames")
     p.add_argument("--frames", required=True, help="directory of P5 PGM frames")
-    p.add_argument("--fps", type=float, default=24.0)
+    p.add_argument("--fps", type=float, default=24.0, help="accepted but not read")
     p.add_argument("--normalize", action="store_true",
                    help="divide each score by the pixel count")
     p.add_argument("--out", required=True, help="output scores CSV")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, TooShortError, TooSmallError, as_index
-from .ingest import Frame, FrameSequence
+from .ingest import Frame, FrameSequence, FrameSource
 from .motion import MotionCurve, STAGE_RAW
 
 # classical smoothness weight assumes 0..255 intensities; pixels here are
@@ -187,13 +187,14 @@ def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
     return uv + cur[:, 1:-1, 1:-1]
 
 
-def _pair_flows(seq: FrameSequence, params: FlowParams) -> Iterator[FlowField]:
+def _pair_flows(seq: FrameSequence | FrameSource, params: FlowParams) -> Iterator[FlowField]:
     """Coarse-to-fine flow of each consecutive frame pair, in order.
 
-    The sequence already holds frames of one size; the coarsest level is
-    checked once, before any solve. Each frame's pyramid is built once; only
-    the previous frame's stays live while the next pair is solved. The flow
-    is one (2, h, w) array of (u, v) from the coarsest level to the finest.
+    ``seq`` yields frames of one size, held in memory or read as the solver
+    reaches them; the coarsest level is checked once from that size, before
+    any frame is read. Each frame's pyramid is built once; only the previous
+    frame's stays live while the next pair is solved. The flow is one
+    (2, h, w) array of (u, v) from the coarsest level to the finest.
     """
     h, w = seq.height, seq.width
     levels = params.pyramid_levels
@@ -205,7 +206,7 @@ def _pair_flows(seq: FrameSequence, params: FlowParams) -> Iterator[FlowField]:
         )
     alpha = params.alpha / 255.0
     prev = None
-    for frame in seq.frames:
+    for frame in seq:
         pyr = [frame.pixels]
         for _ in range(levels - 1):
             pyr.append(_downsample(pyr[-1]))
@@ -242,7 +243,7 @@ def motion_score(flow: FlowField, normalize: bool = True) -> float:
 
 
 def motion_curve(
-    seq: FrameSequence,
+    seq: FrameSequence | FrameSource,
     params: FlowParams | None = None,
     normalize: bool = True,
 ) -> MotionCurve:
@@ -250,7 +251,8 @@ def motion_curve(
 
     Entry t scores the transition t -> t+1; the final entry duplicates its
     predecessor so every frame index carries a score. Pairs are solved
-    serially, so each frame's pyramid is built once.
+    serially, so each frame's pyramid is built once, and a ``FrameSource``
+    is read one frame at a time: peak memory does not grow with its length.
     """
     total = len(seq)
     if total < 2:

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,15 +63,14 @@ class FrameSequence:
     def __post_init__(self):
         if not self.frames:
             raise InvariantViolationError("frame sequence must contain at least one frame")
-        h, w = self.frames[0].height, self.frames[0].width
         for i, f in enumerate(self.frames):
-            if (f.height, f.width) != (h, w):
-                raise DimensionMismatchError(
-                    f"frame {i} is {f.height}x{f.width}, expected {h}x{w}"
-                )
+            _check_size(i, (f.height, f.width), (self.height, self.width))
 
     def __len__(self) -> int:
         return len(self.frames)
+
+    def __iter__(self) -> Iterator[Frame]:
+        return iter(self.frames)
 
     @property
     def height(self) -> int:
@@ -112,12 +112,9 @@ _PGM_HEADER = re.compile(
 )
 
 
-def read_pgm(path: str | Path) -> Frame:
-    """Parse one binary PGM (P5, maxval 255) into a Frame.
-
-    Pixel values are exactly byte/255, preserving bit-level content.
-    """
-    data = Path(path).read_bytes()
+def _pgm_layout(path: str | Path, data: bytes) -> tuple[int, int, int]:
+    """Check a binary PGM's header and raster length; return its height,
+    width and the offset of its raster in ``data``."""
     header = _PGM_HEADER.match(data)
     if header is None:
         raise MalformedPgmError(f"{path}: not a binary PGM header (P5 width height 255)")
@@ -129,20 +126,64 @@ def read_pgm(path: str | Path) -> Frame:
         raise MalformedPgmError(f"{path}: maxval must be 255, got {maxval}")
     if width < 1 or height < 1:
         raise MalformedPgmError(f"{path}: non-positive dimensions {width}x{height}")
-    raster = data[header.end():header.end() + width * height]
-    if len(raster) != width * height:
+    if len(data) - header.end() < width * height:
         raise MalformedPgmError(f"{path}: raster truncated")
-    pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / 255.0
+    return height, width, header.end()
+
+
+def read_pgm(path: str | Path) -> Frame:
+    """Parse one binary PGM (P5, maxval 255) into a Frame.
+
+    Pixel values are exactly byte/255, preserving bit-level content.
+    """
+    data = Path(path).read_bytes()
+    height, width, offset = _pgm_layout(path, data)
+    raster = np.frombuffer(data, dtype=np.uint8, count=height * width, offset=offset)
+    pixels = raster.astype(np.float64) / 255.0
     return Frame(height=height, width=width, pixels=pixels.reshape(height, width))
+
+
+def _check_size(index: int, size: tuple[int, int], expected: tuple[int, int]) -> None:
+    if size != expected:
+        raise DimensionMismatchError(
+            f"frame {index} is {size[0]}x{size[1]}, expected {expected[0]}x{expected[1]}"
+        )
+
+
+class FrameSource:
+    """The ``*.pgm`` frames of a directory in filename order, read lazily.
+
+    Construction parses every header and checks every raster length, then
+    the sizes, so a malformed frame is reported before any size mismatch.
+    Only the paths and the shared size are kept; each iteration reads the
+    frames again, one at a time, so memory does not grow with the frame
+    count. A file that changed since construction raises the same errors.
+    """
+
+    def __init__(self, directory: str | Path):
+        directory = Path(directory)
+        self.paths = sorted(p for p in directory.iterdir()
+                            if p.is_file() and p.suffix == ".pgm")
+        if not self.paths:
+            raise EmptyDirectoryError(f"no PGM files in {directory}")
+        sizes = [_pgm_layout(p, p.read_bytes())[:2] for p in self.paths]
+        self.height, self.width = sizes[0]
+        for i, size in enumerate(sizes):
+            _check_size(i, size, sizes[0])
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self) -> Iterator[Frame]:
+        for i, path in enumerate(self.paths):
+            frame = read_pgm(path)
+            _check_size(i, (frame.height, frame.width), (self.height, self.width))
+            yield frame
 
 
 def load_frame_sequence(directory: str | Path, fps: float = 24.0) -> FrameSequence:
     """Load every ``*.pgm`` in the directory, ordered by filename."""
-    directory = Path(directory)
-    paths = sorted(p for p in directory.iterdir() if p.is_file() and p.suffix == ".pgm")
-    if not paths:
-        raise EmptyDirectoryError(f"no PGM files in {directory}")
-    return FrameSequence(frames=[read_pgm(p) for p in paths], fps=fps)
+    return FrameSequence(frames=list(FrameSource(directory)), fps=fps)
 
 
 # --- WAV ---

@@ -32,6 +32,11 @@ def write_pgm(frame: Frame, path) -> None:
     Path(path).write_bytes(header + raster.tobytes())
 
 
+def make_pgm_bytes(width, height, payload, maxval=255, magic=b"P5"):
+    header = magic + f"\n{width} {height}\n{maxval}\n".encode()
+    return header + payload
+
+
 def write_wav(clip: AudioClip, path) -> None:
     """Write a clip as RIFF/WAVE PCM16 mono."""
     pcm = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2")

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_wav
+from conftest import make_pgm_bytes, write_wav
 from keysched import audiofeat, cli, errors, flow, ingest, motion, selection
 from keysched.cli import main
 from keysched.motion import MotionCurve
@@ -40,6 +40,77 @@ class TestScoreCommand:
         raw = ingest.read_scores_csv(raw_out).values
         norm = ingest.read_scores_csv(norm_out).values
         assert np.allclose(raw, norm * 32 * 48, rtol=1e-6)
+
+
+def black_pgm(width, height, maxval=255):
+    return make_pgm_bytes(width, height, bytes(width * height), maxval)
+
+
+# frame payloads in filename order, and the error that loading every frame
+# and then solving raises; at 3 pyramid levels, 16x16 is too small
+SCORE_ERRORS = {
+    "empty": ([], errors.EmptyDirectoryError),
+    "malformed_in_too_small": ([black_pgm(4, 4), black_pgm(4, 4, maxval=254), black_pgm(4, 4)],
+                               errors.MalformedPgmError),
+    "mismatch": ([black_pgm(32, 32), black_pgm(16, 16), black_pgm(32, 32)],
+                 errors.DimensionMismatchError),
+    "mismatch_then_malformed": ([black_pgm(32, 32), black_pgm(16, 16),
+                                 make_pgm_bytes(32, 32, bytes(5))],
+                                errors.MalformedPgmError),
+    "single_frame": ([black_pgm(32, 32)], errors.TooShortError),
+    "too_small": ([black_pgm(16, 16)] * 3, errors.TooSmallError),
+}
+
+
+class TestScoreErrorOrder:
+    """``score`` streams its frames, yet fails as loading them all first
+    would, and before any raster is decoded or any level solved."""
+
+    @pytest.mark.parametrize("name", sorted(SCORE_ERRORS))
+    def test_same_error_as_loading_first(self, name, tmp_path, monkeypatch, capsys):
+        payloads, expected = SCORE_ERRORS[name]
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i, data in enumerate(payloads):
+            (frames / f"frame_{i:04d}.pgm").write_bytes(data)
+        with pytest.raises(errors.KeyschedError) as loaded_first:
+            flow.motion_curve(ingest.load_frame_sequence(frames))
+        assert loaded_first.type is expected
+
+        raised, decoded, solved = [], [], []
+        score, read_pgm = cli.cmd_score, ingest.read_pgm
+
+        def recording_score(args):
+            try:
+                return score(args)
+            except errors.KeyschedError as exc:
+                raised.append(type(exc))
+                raise
+
+        monkeypatch.setattr(cli, "cmd_score", recording_score)
+        monkeypatch.setattr(ingest, "read_pgm", lambda path: decoded.append(path) or read_pgm(path))
+        monkeypatch.setattr(flow, "_solve_level", lambda *args: solved.append(args))
+        out = tmp_path / "scores.csv"
+        assert run(["score", "--frames", frames, "--out", out]) == expected.exit_code
+        assert raised == [expected]
+        assert decoded == solved == []
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("keysched score: ")
+
+    def test_frame_resized_while_scoring_exits_2(self, pgm_dir, tmp_path, monkeypatch, capsys):
+        motion_curve = flow.motion_curve
+
+        def resize_then_solve(source, *args, **kwargs):
+            (pgm_dir / "frame_0005.pgm").write_bytes(black_pgm(24, 32))
+            return motion_curve(source, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "motion_curve", resize_then_solve)
+        out = tmp_path / "scores.csv"
+        assert run(["score", "--frames", pgm_dir, "--out", out]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("keysched score: frame 5 is 32x24, expected 32x48")
+        assert "Traceback" not in err
 
 
 class TestSelectCommand:

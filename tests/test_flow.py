@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import moving_square_frames
-from keysched import errors, flow
+from conftest import moving_square_frames, write_pgm
+from keysched import errors, flow, ingest
 from keysched.ingest import Frame, FrameSequence
 from oracles import (bilinear_sample_oracle, conv3_oracle, hs_energy_oracle,
                      solve_level_oracle, translated_texture)
@@ -326,3 +329,49 @@ class TestGoldenScores:
         pairwise = [flow.motion_score(flow.estimate_flow(a, b), normalize=False)
                     for a, b in zip(frames, frames[1:])]
         assert curve.values.tobytes() == np.array(pairwise + pairwise[-1:]).tobytes()
+
+
+class TestStreamedFrames:
+    """``motion_curve`` over a ``FrameSource`` reads one frame at a time and
+    gives the bytes of the in-memory sequence."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CLIPS))
+    def test_source_scores_equal_loaded_scores(self, name, tmp_path):
+        for i, frame in enumerate(GOLDEN_CLIPS[name]()):
+            write_pgm(frame, tmp_path / f"frame_{i:04d}.pgm")
+        source = ingest.FrameSource(tmp_path)
+        loaded = ingest.load_frame_sequence(tmp_path)
+        streamed = flow.motion_curve(source, normalize=False)
+        assert streamed.values.tobytes() == flow.motion_curve(
+            loaded, normalize=False).values.tobytes()
+        for _ in range(2):  # a source can be iterated again
+            assert [f.pixels.tobytes() for f in source] == [
+                f.pixels.tobytes() for f in loaded]
+
+    # peak RSS of the whole process, in bytes, after scoring the directory
+    PEAK_RSS = (
+        "import resource, sys\n"
+        "from keysched import flow, ingest\n"
+        "flow.motion_curve(ingest.FrameSource(sys.argv[1]),\n"
+        "                  flow.FlowParams(iterations=1, pyramid_levels=1))\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(peak if sys.platform == 'darwin' else peak * 1024)\n"
+    )
+
+    def test_peak_memory_does_not_grow_with_clip_length(self, tmp_path):
+        """Holding every frame would add 0.13 MB per 128x128 frame: 39 MB
+        between 100 and 400 frames."""
+        src = Path(ingest.__file__).resolve().parents[1]
+        raster = np.random.default_rng(0).integers(0, 256, (128, 128), dtype=np.uint8)
+        frame = Frame(128, 128, raster / 255.0)
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        peaks, written = [], 0
+        for count in (100, 400):
+            for i in range(written, count):
+                write_pgm(frame, tmp_path / f"frame_{i:04d}.pgm")
+            written = count
+            proc = subprocess.run([sys.executable, "-c", self.PEAK_RSS, str(tmp_path)],
+                                  env=env, capture_output=True, text=True, timeout=60,
+                                  check=True)
+            peaks.append(int(proc.stdout))
+        assert abs(peaks[1] - peaks[0]) <= 2 * 2 ** 20, peaks

@@ -7,16 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_pgm, write_wav
+from conftest import make_pgm_bytes, write_pgm, write_wav
 from keysched import errors, evaluate, ingest
 from keysched.motion import MotionCurve
 from keysched.selection import KeyframeSchedule
 from oracles import read_pgm_oracle, read_scores_csv_oracle
-
-
-def make_pgm_bytes(width, height, payload, maxval=255, magic=b"P5"):
-    header = magic + f"\n{width} {height}\n{maxval}\n".encode()
-    return header + payload
 
 
 # header separators: whitespace bytes and '#' comments running to the end of the line
@@ -121,6 +116,27 @@ class TestLoadFrameSequence:
         (tmp_path / "b.pgm").write_bytes(make_pgm_bytes(2, 2, bytes(4)))
         with pytest.raises(errors.DimensionMismatchError):
             ingest.load_frame_sequence(tmp_path)
+
+
+class TestFrameSource:
+    def test_keeps_paths_and_size(self, pgm_dir):
+        source = ingest.FrameSource(pgm_dir)
+        assert len(source) == 16
+        assert (source.height, source.width) == (32, 48)
+        assert source.paths == sorted(pgm_dir.iterdir())
+
+    @pytest.mark.parametrize("payload, error", [
+        (make_pgm_bytes(48, 16, bytes(48 * 16)), errors.DimensionMismatchError),
+        (make_pgm_bytes(48, 32, bytes(10)), errors.MalformedPgmError),
+    ])
+    def test_frame_changed_after_check(self, pgm_dir, payload, error):
+        source = ingest.FrameSource(pgm_dir)
+        (pgm_dir / "frame_0003.pgm").write_bytes(payload)
+        frames = iter(source)
+        for _ in range(3):
+            next(frames)
+        with pytest.raises(error):
+            next(frames)
 
 
 def make_wav_bytes(samples, rate=16000, channels=1, bits=16, audio_format=1):
