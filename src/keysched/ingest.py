@@ -55,10 +55,9 @@ class Frame:
 
 @dataclass
 class FrameSequence:
-    """Ordered frames of identical dimensions; fps is carried as metadata."""
+    """Ordered frames of identical dimensions."""
 
     frames: list[Frame]
-    fps: float = 24.0
 
     def __post_init__(self):
         if not self.frames:
@@ -181,9 +180,9 @@ class FrameSource:
             yield frame
 
 
-def load_frame_sequence(directory: str | Path, fps: float = 24.0) -> FrameSequence:
+def load_frame_sequence(directory: str | Path) -> FrameSequence:
     """Load every ``*.pgm`` in the directory, ordered by filename."""
-    return FrameSequence(frames=list(FrameSource(directory)), fps=fps)
+    return FrameSequence(frames=list(FrameSource(directory)))
 
 
 # --- WAV ---

@@ -18,6 +18,8 @@ from .selection import KeyframeSchedule
 
 MARGIN = 24.0
 MARK_SIZE = 5.0
+# largest canvas side in pixels; any larger size raises InvariantViolationError
+MAX_CANVAS = 100_000
 
 CURVE_COLOR = "#1f6fb2"
 PEAK_COLOR = "#d64541"
@@ -36,8 +38,8 @@ class PlotSpec:
     schedule: KeyframeSchedule | None = None
 
     def __post_init__(self):
-        self.width = as_index(self.width, "width", lo=1)
-        self.height = as_index(self.height, "height", lo=1)
+        self.width = as_index(self.width, "width", lo=1, hi=MAX_CANVAS + 1)
+        self.height = as_index(self.height, "height", lo=1, hi=MAX_CANVAS + 1)
         n, sched = len(self.curve), self.schedule
         if sched is not None and sched.total_frames != n:
             raise InvariantViolationError(f"schedule of {sched.total_frames} frames, curve of {n}")

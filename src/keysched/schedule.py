@@ -10,7 +10,7 @@ toolkit ships no trainable parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,18 +31,16 @@ FREENOISE_STRIDE = 6
 
 @dataclass
 class ConditionLayout:
-    """Length-T feature rows plus the 0/1 mask of conditioned slots."""
+    """Feature rows plus the 0/1 mask of conditioned slots, one per frame."""
 
-    total_frames: int
     mask: np.ndarray
     features: np.ndarray
 
     def __post_init__(self):
-        self.total_frames = as_index(self.total_frames, "total_frames")
         self.mask = np.asarray(self.mask, dtype=np.int64)
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.mask.shape != (self.total_frames,):
-            raise InvariantViolationError("mask length must equal total_frames")
+        if self.mask.ndim != 1:
+            raise InvariantViolationError("mask must be one-dimensional")
         if not np.all((self.mask == 0) | (self.mask == 1)):
             raise InvariantViolationError("mask entries must be 0 or 1")
         if self.features.shape[0] != self.total_frames:
@@ -50,6 +48,10 @@ class ConditionLayout:
         unmasked = self.features[self.mask == 0]
         if unmasked.size and np.any(unmasked != 0.0):
             raise InvariantViolationError("unmasked rows must be exactly zero")
+
+    @property
+    def total_frames(self) -> int:
+        return self.mask.size
 
     def to_dict(self) -> dict:
         return {
@@ -61,27 +63,26 @@ class ConditionLayout:
 
 @dataclass
 class WindowPlan:
-    """Ordered [start, end) windows covering [0, total_frames)."""
+    """Overlapping fixed-size windows covering [0, total_frames): starts step
+    by ``stride`` while a full window fits; a trailing clamped window closes
+    any uncovered tail."""
 
     total_frames: int
     window: int
     stride: int
-    windows: list[tuple[int, int]]
+    windows: list[tuple[int, int]] = field(init=False)
 
     def __post_init__(self):
-        self.total_frames = as_index(self.total_frames, "total_frames")
-        self.window = as_index(self.window, "window", lo=1)
-        self.stride = as_index(self.stride, "stride", lo=1)
-        self.windows = [(as_index(s, "windows"), as_index(e, "windows")) for s, e in self.windows]
-        if not self.windows:
-            raise InvariantViolationError("window plan must contain at least one window")
-        covered = set()
-        for s, e in self.windows:
-            if not s < e <= self.total_frames:
-                raise InvariantViolationError(f"window [{s}, {e}) out of range")
-            covered.update(range(s, e))
-        if covered != set(range(self.total_frames)):
-            raise InvariantViolationError("windows must cover every frame index")
+        total = self.total_frames = as_index(self.total_frames, "total_frames", lo=None)
+        window = self.window = as_index(self.window, "window", lo=None)
+        stride = self.stride = as_index(self.stride, "stride", lo=None)
+        if stride < 1 or stride > window or window > total:
+            raise BadGeometryError(
+                f"need 1 <= stride <= window <= total_frames, got ({total}, {window}, {stride})"
+            )
+        self.windows = [(s, s + window) for s in range(0, total - window + 1, stride)]
+        if self.windows[-1][1] != total:
+            self.windows.append((total - window, total))
 
     def to_dict(self) -> dict:
         return {
@@ -106,7 +107,7 @@ def interpolation_layout(keyframe_feats, schedule: KeyframeSchedule) -> Conditio
     for row, idx in enumerate(schedule.keyframes):
         features[idx] = feats[row]
         mask[idx] = 1
-    return ConditionLayout(total_frames=total, mask=mask, features=features)
+    return ConditionLayout(mask=mask, features=features)
 
 
 def firstframe_layout(first_feat, total_frames: int) -> ConditionLayout:
@@ -117,29 +118,13 @@ def firstframe_layout(first_feat, total_frames: int) -> ConditionLayout:
     total_frames = as_index(total_frames, "total_frames", lo=1)
     features = np.tile(feat[0], (total_frames, 1))
     mask = np.ones(total_frames, dtype=np.int64)
-    return ConditionLayout(total_frames=total_frames, mask=mask, features=features)
+    return ConditionLayout(mask=mask, features=features)
 
 
 def freenoise_windows(total_frames: int, window: int = FREENOISE_WINDOW,
                       stride: int = FREENOISE_STRIDE) -> WindowPlan:
-    """Overlapping window layout: starts step by ``stride`` while a full
-    window fits; a trailing clamped window closes any uncovered tail."""
-    total_frames = as_index(total_frames, "total_frames", lo=None)
-    window = as_index(window, "window", lo=None)
-    stride = as_index(stride, "stride", lo=None)
-    if stride < 1 or stride > window or window > total_frames:
-        raise BadGeometryError(
-            f"need 1 <= stride <= window <= total_frames, got "
-            f"({total_frames}, {window}, {stride})"
-        )
-    windows = []
-    start = 0
-    while start + window <= total_frames:
-        windows.append((start, start + window))
-        start += stride
-    if windows[-1][1] != total_frames:
-        windows.append((total_frames - window, total_frames))
-    return WindowPlan(total_frames=total_frames, window=window, stride=stride, windows=windows)
+    """The FreeNoise window plan, at the default geometry unless given."""
+    return WindowPlan(total_frames, window, stride)
 
 
 def frame_index_embedding(indices, channels: int) -> np.ndarray:

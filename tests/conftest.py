@@ -57,7 +57,7 @@ def moving_square_frames(count=16, height=32, width=48):
         x0 = 4 + 2 * t
         img[10:20, x0:x0 + 8] = 0.9
         frames.append(Frame(height=height, width=width, pixels=img))
-    return FrameSequence(frames=frames, fps=24.0)
+    return FrameSequence(frames=frames)
 
 
 @pytest.fixture

@@ -164,6 +164,19 @@ AVG_KERNEL = np.array(
 )
 
 
+def freenoise_windows_oracle(total_frames, window, stride):
+    """Windows stepped by ``stride`` while a full one fits, then a clamped
+    window ending at ``total_frames`` if the last one stops short."""
+    windows = []
+    start = 0
+    while start + window <= total_frames:
+        windows.append((start, start + window))
+        start += stride
+    if windows[-1][1] != total_frames:
+        windows.append((total_frames - window, total_frames))
+    return windows
+
+
 def conv3_oracle(x, kernel):
     """3x3 convolution with replicate borders."""
     p = np.pad(x, 1, mode="edge")

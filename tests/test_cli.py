@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -206,6 +207,20 @@ class TestWindowsCommand:
     def test_bad_geometry_exits_6(self):
         assert run(["windows", "--frames", "8", "--window", "12", "--stride", "6"]) == 6
 
+    def test_one_window_in_bounded_memory(self, capsys):
+        """A one-window plan costs the same whatever the frame count. The
+        bounded 10**6 case runs first, so a regression that allocates per
+        frame fails there before 10**400 is tried."""
+        for n in (10 ** 6, 10 ** 400):
+            tracemalloc.start()
+            try:
+                assert run(["windows", "--frames", n, "--window", n, "--stride", n]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20, (n, peak)
+            assert json.loads(capsys.readouterr().out)["windows"] == [[0, n]]
+
 
 class TestEvalApCommand:
     def test_prints_fraction(self, tmp_path, capsys):
@@ -293,8 +308,10 @@ class TestPlotCommand:
         scores = tmp_path / "scores.csv"
         ingest.write_scores_csv(MotionCurve(np.linspace(0.0, 1.0, 8)), scores)
         out = tmp_path / "c.svg"
-        assert run(["plot", "--scores", scores, flag, 0, "--out", out]) == 2
-        assert not out.exists()
+        # past plot.MAX_CANVAS too, where the size no longer fits a float
+        for size in (0, 10 ** 400):
+            assert run(["plot", "--scores", scores, flag, size, "--out", out]) == 2
+            assert not out.exists()
 
 
 class TestDeterminism:

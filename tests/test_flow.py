@@ -277,7 +277,7 @@ def sine_texture_clip(height, width, count, seed):
         frames.append(as_frame(img))
         x_off += rng.uniform(-1.5, 1.5)
         y_off += rng.uniform(-1.5, 1.5)
-    return FrameSequence(frames=frames, fps=24.0)
+    return FrameSequence(frames=frames)
 
 
 def rolled_noise_clip(height, width, count, seed):
@@ -293,14 +293,14 @@ def rolled_noise_clip(height, width, count, seed):
         frames.append(as_frame(np.roll(base, (dy, dx), axis=(0, 1))))
         dy += int(rng.integers(-2, 3))
         dx += int(rng.integers(-2, 3))
-    return FrameSequence(frames=frames, fps=24.0)
+    return FrameSequence(frames=frames)
 
 
 def noise_clip(height, width, count, seed):
     """Independent uniform noise frames: no coherent motion at all."""
     rng = np.random.default_rng(seed)
     return FrameSequence(frames=[as_frame(rng.random((height, width)))
-                                 for _ in range(count)], fps=24.0)
+                                 for _ in range(count)])
 
 
 GOLDEN_CLIPS = {
@@ -348,14 +348,22 @@ class TestStreamedFrames:
             assert [f.pixels.tobytes() for f in source] == [
                 f.pixels.tobytes() for f in loaded]
 
-    # peak RSS of the whole process, in bytes, after scoring the directory
+    # the child's own peak RSS, in bytes, after scoring the directory. On
+    # Linux, ru_maxrss also counts the parent's peak, which exec carries
+    # over, so VmHWM is read there; ru_maxrss is the fallback elsewhere.
     PEAK_RSS = (
         "import resource, sys\n"
         "from keysched import flow, ingest\n"
         "flow.motion_curve(ingest.FrameSource(sys.argv[1]),\n"
         "                  flow.FlowParams(iterations=1, pyramid_levels=1))\n"
-        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(peak if sys.platform == 'darwin' else peak * 1024)\n"
+        "try:\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        peak = next(int(line.split()[1]) * 1024 for line in fh\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "except OSError:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    peak = peak if sys.platform == 'darwin' else peak * 1024\n"
+        "print(peak)\n"
     )
 
     def test_peak_memory_does_not_grow_with_clip_length(self, tmp_path):

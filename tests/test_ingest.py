@@ -96,7 +96,7 @@ class TestReadPgm:
 
 class TestLoadFrameSequence:
     def test_filename_order_and_shape(self, pgm_dir):
-        seq = ingest.load_frame_sequence(pgm_dir, fps=24.0)
+        seq = ingest.load_frame_sequence(pgm_dir)
         assert len(seq) == 16
         assert seq.height == 32 and seq.width == 48
         # the square moves right over time, so later frames differ

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from keysched import audiofeat, errors, schedule
 from keysched.selection import KeyframeSchedule
+from oracles import freenoise_windows_oracle
 
 
 def make_schedule(total, keyframes):
@@ -90,6 +91,7 @@ class TestFreenoiseWindows:
         window = data.draw(st.integers(min_value=1, max_value=total))
         stride = data.draw(st.integers(min_value=1, max_value=window))
         plan = schedule.freenoise_windows(total, window, stride)
+        assert plan.windows == freenoise_windows_oracle(total, window, stride)
         covered = set()
         for s, e in plan.windows:
             assert e - s == window

@@ -48,14 +48,9 @@ INDEX_SITES = {
     "valley_between.p2": (lambda v: selection.valley_between(NORM, Extrema(), 0, v), 3),
     "KeypointInstance.gt": (lambda v: evaluate.KeypointInstance(gt=[v], pred=[1]), 3),
     "KeypointInstance.pred": (lambda v: evaluate.KeypointInstance(gt=[1], pred=[v]), 3),
-    "WindowPlan.total_frames": (lambda v: schedule.WindowPlan(v, 3, 3, [(0, 3)]), 3),
-    "WindowPlan.window": (lambda v: schedule.WindowPlan(6, v, 3, [(0, 3), (3, 6)]), 3),
-    "WindowPlan.stride": (lambda v: schedule.WindowPlan(6, 3, v, [(0, 3), (3, 6)]), 3),
-    "WindowPlan.windows.start":
-        (lambda v: schedule.WindowPlan(6, 3, 3, [(0, 3), (v, 6)]), 3),
-    "WindowPlan.windows.end": (lambda v: schedule.WindowPlan(6, 3, 3, [(0, v), (3, 6)]), 3),
-    "ConditionLayout.total_frames":
-        (lambda v: schedule.ConditionLayout(v, np.ones(3), np.ones((3, 2))), 3),
+    "WindowPlan.total_frames": (lambda v: schedule.WindowPlan(v, 3, 3), 3),
+    "WindowPlan.window": (lambda v: schedule.WindowPlan(6, v, 3), 3),
+    "WindowPlan.stride": (lambda v: schedule.WindowPlan(6, 3, v), 3),
     "freenoise_windows.total_frames": (lambda v: schedule.freenoise_windows(v, 3, 3), 3),
     "freenoise_windows.window": (lambda v: schedule.freenoise_windows(12, v, 3), 3),
     "freenoise_windows.stride": (lambda v: schedule.freenoise_windows(12, 6, v), 3),
@@ -125,7 +120,7 @@ def mel(values):
 
 
 def layout(mask, features):
-    return schedule.ConditionLayout(3, np.asarray(mask), np.asarray(features, dtype=float))
+    return schedule.ConditionLayout(np.asarray(mask), np.asarray(features, dtype=float))
 
 
 # validation branch -> (call that reaches it, the error it raises)
@@ -159,20 +154,15 @@ VALIDATION = {
                               errors.InvariantViolationError),
     "as_feature_matrix.shape": (lambda: audiofeat.as_feature_matrix(np.ones(3)),
                                 errors.ShapeMismatchError),
-    "ConditionLayout.mask_length": (lambda: layout([1, 1], np.ones((3, 2))),
-                                    errors.InvariantViolationError),
+    "ConditionLayout.mask_ndim": (lambda: layout([[1], [1], [1]], np.ones((3, 2))),
+                                  errors.InvariantViolationError),
     "ConditionLayout.mask_values": (lambda: layout([1, 2, 1], np.ones((3, 2))),
                                     errors.InvariantViolationError),
     "ConditionLayout.feature_rows": (lambda: layout([1, 1, 1], np.ones((2, 2))),
                                      errors.InvariantViolationError),
     "ConditionLayout.unmasked_rows": (lambda: layout([1, 0, 1], np.ones((3, 2))),
                                       errors.InvariantViolationError),
-    "WindowPlan.empty": (lambda: schedule.WindowPlan(6, 3, 3, []),
-                         errors.InvariantViolationError),
-    "WindowPlan.range": (lambda: schedule.WindowPlan(6, 3, 3, [(0, 3), (3, 7)]),
-                         errors.InvariantViolationError),
-    "WindowPlan.coverage": (lambda: schedule.WindowPlan(6, 3, 3, [(0, 3), (4, 6)]),
-                            errors.InvariantViolationError),
+    "WindowPlan.geometry": (lambda: schedule.WindowPlan(6, 3, 4), errors.BadGeometryError),
     "GuidanceScales.finite": (lambda: refops.GuidanceScales(text=np.nan),
                               errors.InvariantViolationError),
     "FusionWeights.finite": (lambda: refops.FusionWeights(audio=np.inf),
