@@ -2,13 +2,14 @@
 
 smooth(): centered moving average with boundary truncation.
 normalize(): per-clip min-max scaling to [0, 1]; a range below FLAT_RANGE is flat.
-detect_peaks() / detect_valleys(): local extrema filtered by topographic
-prominence and a minimum inter-peak distance. Prominences are exact and take
-linear time in the worst case: vectorized peeling rounds settle most peaks
-(each round drops every peak lower than both of its neighbouring peaks,
-which fixes its two bases), and a monotonic stack finishes the peaks that remain.
-detect_extrema(): both sides, plus the kept peaks' prominences from the same
-pass, which downstream peak ranking uses.
+detect_extrema(): the one extrema detector. Peaks are local maxima filtered by
+topographic prominence and a minimum inter-peak distance; valleys are the
+peaks of the exactly negated curve. Prominences are exact and take linear time
+in the worst case: vectorized peeling rounds settle most peaks (each round
+drops every peak lower than both of its neighbouring peaks, which fixes its
+two bases), and a monotonic stack finishes the peaks that remain. The kept
+peaks' prominences, which downstream peak ranking uses, come from the same pass.
+detect_peaks() / detect_valleys(): one side of detect_extrema().
 peak_prominences(): exact prominence of any index (0.0 off a peak plateau),
 for extrema that carry no prominences.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -102,7 +104,8 @@ def smooth(curve: MotionCurve, window: int = DEFAULT_SMOOTH_WINDOW) -> MotionCur
         raise InvalidWindowError(f"window must be odd and >= 1, got {window}")
     x = curve.values
     n = x.size
-    half = window // 2
+    # n - 1 already spans the whole curve from every index, and keeps idx - half in int64
+    half = min(window // 2, n - 1)
     csum = np.concatenate(([0.0], np.cumsum(x)))
     idx = np.arange(n)
     lo = np.maximum(idx - half, 0)
@@ -216,15 +219,10 @@ def peak_prominences(curve: MotionCurve, indices: list[int]) -> list[float]:
     return prom[runs].tolist()
 
 
-def _peaks_and_prominences(
-    curve: MotionCurve, min_distance: int, min_prominence: float
-) -> tuple[list[int], list[float]]:
-    """``detect_peaks`` and the prominence of each peak it keeps."""
-    if curve.stage != STAGE_NORMALIZED:
-        raise NotNormalizedError("peak detection requires a normalized curve")
-    x = curve.values
+def _peaks(x: np.ndarray, distance: int, prominence: float) -> tuple[list[int], list[float]]:
+    """Kept peak indices of ``x`` and their prominences; see ``detect_extrema``."""
     first, prom = _run_prominences(x)
-    survives = (prom > 0) & (prom >= min_prominence)
+    survives = (prom > 0) & (prom >= prominence)
     cands, cand_prom = first[survives], prom[survives]
     order = np.argsort(-x[cands], kind="stable")
     kept: list[int] = []
@@ -232,40 +230,12 @@ def _peaks_and_prominences(
     for i, p in zip(cands[order].tolist(), cand_prom[order].tolist()):
         # the nearest kept peak on either side decides
         pos = bisect_left(kept, i)
-        if (pos == 0 or i - kept[pos - 1] >= min_distance) and (
-            pos == len(kept) or kept[pos] - i >= min_distance
+        if (pos == 0 or i - kept[pos - 1] >= distance) and (
+            pos == len(kept) or kept[pos] - i >= distance
         ):
             kept.insert(pos, i)
             kept_prom.insert(pos, p)
     return kept, kept_prom
-
-
-def detect_peaks(
-    curve: MotionCurve,
-    min_distance: int = DEFAULT_MIN_DISTANCE,
-    min_prominence: float = DEFAULT_MIN_PROMINENCE,
-) -> list[int]:
-    """Peak indices of a normalized curve.
-
-    Candidates are interior local maxima (leftmost index of a plateau), found
-    with their prominences by ``_run_prominences`` in linear time.
-    They are filtered to prominence >= ``min_prominence``, then thinned so any
-    two survivors sit >= ``min_distance`` apart, keeping higher peaks first
-    and breaking height ties toward the lower index.
-    """
-    return _peaks_and_prominences(curve, min_distance, min_prominence)[0]
-
-
-def detect_valleys(
-    curve: MotionCurve,
-    min_distance: int = DEFAULT_MIN_DISTANCE,
-    min_prominence: float = DEFAULT_MIN_PROMINENCE,
-) -> list[int]:
-    """Valley indices: peak detection on the affinely negated curve."""
-    if curve.stage != STAGE_NORMALIZED:
-        raise NotNormalizedError("valley detection requires a normalized curve")
-    negated = MotionCurve(curve.values.max() - curve.values, stage=STAGE_NORMALIZED)
-    return detect_peaks(negated, min_distance=min_distance, min_prominence=min_prominence)
 
 
 def detect_extrema(
@@ -273,11 +243,39 @@ def detect_extrema(
     min_distance: int = DEFAULT_MIN_DISTANCE,
     min_prominence: float = DEFAULT_MIN_PROMINENCE,
 ) -> Extrema:
-    """Peaks and valleys of one curve under shared constraints, with the
-    peaks' prominences."""
-    peaks, prominences = _peaks_and_prominences(curve, min_distance, min_prominence)
-    return Extrema(
-        peaks=peaks,
-        valleys=detect_valleys(curve, min_distance, min_prominence),
-        prominences=prominences,
-    )
+    """Peaks and valleys of a normalized curve, with the peaks' prominences.
+
+    Peak candidates are interior local maxima (leftmost index of a plateau),
+    found with their prominences by ``_run_prominences`` in linear time. They
+    are filtered to prominence >= ``min_prominence``, then thinned so any two
+    survivors sit >= ``min_distance`` apart, keeping higher peaks first and
+    breaking height ties toward the lower index. Valleys are the peaks of
+    ``-values`` under the same rule; negation is exact, so no value is rounded
+    before each prominence's one subtraction.
+    """
+    min_distance = as_index(min_distance, "min_distance")
+    if not (isinstance(min_prominence, Real) and 0 <= min_prominence < np.inf):
+        raise InvariantViolationError(f"min_prominence must be finite, >= 0: {min_prominence!r}")
+    if curve.stage != STAGE_NORMALIZED:
+        raise NotNormalizedError("extrema detection requires a normalized curve")
+    peaks, prominences = _peaks(curve.values, min_distance, min_prominence)
+    valleys = _peaks(-curve.values, min_distance, min_prominence)[0]
+    return Extrema(peaks=peaks, valleys=valleys, prominences=prominences)
+
+
+def detect_peaks(
+    curve: MotionCurve,
+    min_distance: int = DEFAULT_MIN_DISTANCE,
+    min_prominence: float = DEFAULT_MIN_PROMINENCE,
+) -> list[int]:
+    """The peaks of ``detect_extrema``."""
+    return detect_extrema(curve, min_distance, min_prominence).peaks
+
+
+def detect_valleys(
+    curve: MotionCurve,
+    min_distance: int = DEFAULT_MIN_DISTANCE,
+    min_prominence: float = DEFAULT_MIN_PROMINENCE,
+) -> list[int]:
+    """The valleys of ``detect_extrema``."""
+    return detect_extrema(curve, min_distance, min_prominence).valleys

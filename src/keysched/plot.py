@@ -18,7 +18,8 @@ from .selection import KeyframeSchedule
 
 MARGIN = 24.0
 MARK_SIZE = 5.0
-# largest canvas side in pixels; any larger size raises InvariantViolationError
+# canvas side bounds in pixels; below MIN_CANVAS the inner area is empty or mirrored
+MIN_CANVAS = int(2 * MARGIN) + 1
 MAX_CANVAS = 100_000
 
 CURVE_COLOR = "#1f6fb2"
@@ -38,8 +39,8 @@ class PlotSpec:
     schedule: KeyframeSchedule | None = None
 
     def __post_init__(self):
-        self.width = as_index(self.width, "width", lo=1, hi=MAX_CANVAS + 1)
-        self.height = as_index(self.height, "height", lo=1, hi=MAX_CANVAS + 1)
+        self.width = as_index(self.width, "width", lo=MIN_CANVAS, hi=MAX_CANVAS + 1)
+        self.height = as_index(self.height, "height", lo=MIN_CANVAS, hi=MAX_CANVAS + 1)
         n, sched = len(self.curve), self.schedule
         if sched is not None and sched.total_frames != n:
             raise InvariantViolationError(f"schedule of {sched.total_frames} frames, curve of {n}")

@@ -308,8 +308,9 @@ class TestPlotCommand:
         scores = tmp_path / "scores.csv"
         ingest.write_scores_csv(MotionCurve(np.linspace(0.0, 1.0, 8)), scores)
         out = tmp_path / "c.svg"
-        # past plot.MAX_CANVAS too, where the size no longer fits a float
-        for size in (0, 10 ** 400):
+        # one below plot.MIN_CANVAS, and past plot.MAX_CANVAS, where the size
+        # no longer fits a float
+        for size in (0, 48, 10 ** 400):
             assert run(["plot", "--scores", scores, flag, size, "--out", out]) == 2
             assert not out.exists()
 

@@ -53,6 +53,12 @@ class TestSmooth:
         values = np.array([1.0, 5.0, 2.0])
         assert np.array_equal(motion.smooth(motion.MotionCurve(values), 1).values, values)
 
+    @pytest.mark.parametrize("window", [10**20 + 1, 10**400 + 1])
+    def test_window_past_int64_averages_whole_curve(self, window):
+        curve = motion.MotionCurve(np.random.default_rng(3).random(9))
+        whole = motion.smooth(curve, 2 * len(curve) + 1).values
+        assert motion.smooth(curve, window).values.tobytes() == whole.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(values=curve_values)
     def test_matches_direct_truncated_mean(self, values):
@@ -184,10 +190,11 @@ class TestDetectValleys:
 
     @settings(max_examples=150, deadline=None)
     @given(values=curve_values)
+    # 1.0 - 1.5e-157 rounds to 1.0, so an affinely negated curve puts the valley at 1
+    @example(values=[1.0, 1.547698698760985e-157, 0.0, 1.0])
     def test_duality_with_peaks(self, values):
         curve = motion.normalize(motion.MotionCurve(np.array(values)))
-        negated = normalized(curve.values.max() - curve.values)
-        assert motion.detect_valleys(curve) == motion.detect_peaks(negated)
+        assert motion.detect_valleys(curve) == detect_peaks_oracle((-curve.values).tolist())
 
 
 class TestPeakProminences:
@@ -225,12 +232,15 @@ plateau_values = st.one_of(
 class TestExactAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(values=plateau_values)
+    # 1.0 - 0.1 rounds, so on the affinely negated curve the valley's prominence
+    # of exactly 0.1 fell just below min_prominence=0.1
+    @example(values=[1.0, 0.0, 0.1])
     def test_prominences_and_extrema_on_plateau_curves(self, values):
         curve = motion.normalize(motion.MotionCurve(np.array(values, dtype=float)))
         x = curve.values.tolist()
         indices = list(range(len(x)))
         assert motion.peak_prominences(curve, indices) == [prominence_oracle(x, i) for i in indices]
-        negated = (curve.values.max() - curve.values).tolist()
+        negated = (-curve.values).tolist()
         for min_distance in (1, 3, 5):
             for min_prominence in (0.0, 0.1, 0.5):
                 assert motion.detect_peaks(curve, min_distance, min_prominence) == \
@@ -259,7 +269,7 @@ class TestExactAgainstOracle:
         elapsed = time.perf_counter() - start
         v = curve.values.tolist()
         assert extrema.peaks == detect_peaks_oracle(v)
-        assert extrema.valleys == detect_peaks_oracle((curve.values.max() - curve.values).tolist())
+        assert extrema.valleys == detect_peaks_oracle((-curve.values).tolist())
         assert proms == [prominence_oracle(v, i) for i in indices]
         assert elapsed < 2.0
 

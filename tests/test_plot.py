@@ -28,7 +28,7 @@ def golden_specs():
     return {
         "n1": plot.PlotSpec(width=800, height=300, curve=MotionCurve([0.4]), extrema=Extrema(),
                             schedule=KeyframeSchedule(total_frames=1, keyframes=[0])),
-        "n2": plot.PlotSpec(width=97, height=41, curve=MotionCurve([3.0, 1.5]),
+        "n2": plot.PlotSpec(width=97, height=49, curve=MotionCurve([3.0, 1.5]),
                             extrema=Extrema(peaks=[0], valleys=[1])),
         "flat7": plot.PlotSpec(width=640, height=200, curve=MotionCurve(np.full(7, 2.5)),
                                extrema=Extrema()),
@@ -54,5 +54,5 @@ def test_render_plot_bytes_match_golden(name):
 ])
 def test_marks_must_fit_the_curve(extrema, schedule):
     with pytest.raises(errors.InvariantViolationError):
-        plot.PlotSpec(width=80, height=40, curve=MotionCurve([0.0, 1.0, 0.5]),
+        plot.PlotSpec(width=80, height=60, curve=MotionCurve([0.0, 1.0, 0.5]),
                       extrema=extrema, schedule=schedule)

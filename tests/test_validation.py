@@ -29,6 +29,7 @@ INDEX_SITES = {
     "Extrema.peaks": (lambda v: Extrema(peaks=[v]), 3),
     "Extrema.valleys": (lambda v: Extrema(valleys=[v]), 3),
     "smooth.window": (lambda v: motion.smooth(RAW, v), 3),
+    "detect_extrema.min_distance": (lambda v: motion.detect_extrema(NORM, v), 3),
     "peak_prominences.indices": (lambda v: motion.peak_prominences(NORM, [1, v]), 3),
     "KeyframeSchedule.total_frames": (lambda v: KeyframeSchedule(v, [0]), 3),
     "KeyframeSchedule.keyframes": (lambda v: KeyframeSchedule(8, [0, v], fill=[3]), 3),
@@ -67,8 +68,8 @@ INDEX_SITES = {
     "fixed_text.decimals": (lambda v: ingest.fixed_text([[1.5, 2.5]], [2, v]), 3),
     "FlowParams.iterations": (lambda v: flow.FlowParams(iterations=v), 3),
     "FlowParams.pyramid_levels": (lambda v: flow.FlowParams(pyramid_levels=v), 3),
-    "PlotSpec.width": (lambda v: plot.render_plot(plot.PlotSpec(v, 40, NORM, Extrema())), 3),
-    "PlotSpec.height": (lambda v: plot.render_plot(plot.PlotSpec(40, v, NORM, Extrema())), 3),
+    "PlotSpec.width": (lambda v: plot.render_plot(plot.PlotSpec(v, 60, NORM, Extrema())), 60),
+    "PlotSpec.height": (lambda v: plot.render_plot(plot.PlotSpec(60, v, NORM, Extrema())), 60),
 }
 
 
@@ -144,6 +145,12 @@ VALIDATION = {
     "MotionCurve.normalized_range": (lambda: MotionCurve([0.0, 2.0], stage="normalized"),
                                      errors.InvariantViolationError),
     "detect_valleys.raw_curve": (lambda: motion.detect_valleys(RAW), errors.NotNormalizedError),
+    "detect_extrema.min_prominence_nan": (lambda: motion.detect_extrema(NORM, 1, np.nan),
+                                          errors.InvariantViolationError),
+    "detect_extrema.min_prominence_negative": (lambda: motion.detect_extrema(NORM, 1, -0.1),
+                                               errors.InvariantViolationError),
+    "detect_extrema.min_prominence_str": (lambda: motion.detect_extrema(NORM, 1, "a"),
+                                          errors.InvariantViolationError),
     "FlowField.shape": (lambda: flow.FlowField(np.zeros((2, 2)), np.zeros((2, 3))),
                         errors.InvariantViolationError),
     "FlowField.finite": (lambda: flow.FlowField(np.zeros((2, 2)), np.full((2, 2), np.inf)),
