@@ -21,6 +21,7 @@ from .errors import (
     KernelTooLargeError,
     ShapeMismatchError,
     WrongSampleRateError,
+    as_floats,
     as_index,
 )
 from .ingest import AudioClip, PIPELINE_SAMPLE_RATE, fixed_text
@@ -41,13 +42,9 @@ class MelSpectrogram:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] != N_MELS:
+        self.values = as_floats(self.values, "log-mel values", 2, lo=0.0)
+        if self.values.shape[0] != N_MELS:
             raise InvariantViolationError(f"expected {N_MELS} x frames matrix")
-        if self.values.shape[1] < 1:
-            raise InvariantViolationError("spectrogram needs at least one frame")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise InvariantViolationError("log-mel values must be finite and >= 0")
 
     @property
     def bands(self) -> int:

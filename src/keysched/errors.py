@@ -8,6 +8,8 @@ whose ``summary`` describes that code in ``keysched --help``.
 
 import operator
 
+import numpy as np
+
 
 class KeyschedError(Exception):
     """Base class for all keysched errors."""
@@ -95,6 +97,24 @@ def as_index(value, name: str, lo: int | None = 0, hi: int | None = None) -> int
     if hi is not None and index >= hi:
         raise InvariantViolationError(f"{name} must be < {hi}, got {index}")
     return index
+
+
+def as_floats(value, name: str, ndim: int = 0, lo: float = -np.inf, hi: float = np.inf):
+    """The one real rule: a non-empty ``ndim``-D float64 array (0-D for a scalar, float64 input
+    not copied) of Python or NumPy ints or floats, all finite and in ``[lo, hi]``; anything else,
+    ``bool`` and ragged nesting too, raises InvariantViolationError. Exempt: kernel operands
+    (``as_feature_matrix``, ``ConditionLayout.features``) and ``match_keypoints``' threshold."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim or arr.size == 0:
+        raise InvariantViolationError(f"{name} must be non-empty {ndim}-D reals: {value!r:.40}")
+    arr = arr.astype(np.float64, copy=False)
+    low, high = arr.min(), arr.max()
+    if not (lo <= low and high <= hi and np.isfinite(low) and np.isfinite(high)):
+        raise InvariantViolationError(f"{name} must be finite and lie in [{lo}, {hi}]")
+    return arr
 
 
 class TooSmallError(FlowError):

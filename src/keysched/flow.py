@@ -9,13 +9,12 @@ benchmark endpoint accuracy.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError, TooShortError, TooSmallError, as_index
+from .errors import InvariantViolationError, TooShortError, TooSmallError, as_floats, as_index
 from .ingest import Frame, FrameSequence, FrameSource
 from .motion import MotionCurve, STAGE_RAW
 
@@ -43,12 +42,9 @@ class FlowField:
     v: np.ndarray
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
-        if self.u.ndim != 2 or self.u.shape != self.v.shape:
+        self.u, self.v = as_floats(self.u, "u", 2), as_floats(self.v, "v", 2)
+        if self.u.shape != self.v.shape:
             raise InvariantViolationError("u and v must be 2-D arrays of identical shape")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise InvariantViolationError("flow components must be finite")
 
     @property
     def height(self) -> int:
@@ -69,10 +65,8 @@ class FlowParams:
     def __post_init__(self):
         self.iterations = as_index(self.iterations, "iterations", lo=1)
         self.pyramid_levels = as_index(self.pyramid_levels, "pyramid_levels", lo=1)
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise InvariantViolationError("alpha must be finite and > 0")
-        if not (math.isfinite(self.convergence_eps) and self.convergence_eps >= 0):
-            raise InvariantViolationError("convergence_eps must be finite and >= 0")
+        self.alpha = float(as_floats(self.alpha, "alpha", lo=np.nextafter(0, 1)))  # > 0
+        self.convergence_eps = float(as_floats(self.convergence_eps, "convergence_eps", lo=0.0))
 
 
 def _gradients(img: np.ndarray):

@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     UnsupportedChannelsError,
     UnsupportedEncodingError,
+    as_floats,
     as_index,
 )
 from .motion import MotionCurve, STAGE_RAW
@@ -44,13 +45,11 @@ class Frame:
     pixels: np.ndarray
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
+        self.pixels = as_floats(self.pixels, "pixels", 2, 0.0, 1.0)
         if self.pixels.shape != (self.height, self.width):
             raise InvariantViolationError(
                 f"pixel array {self.pixels.shape} does not match {self.height}x{self.width}"
             )
-        if self.pixels.size and (self.pixels.min() < 0.0 or self.pixels.max() > 1.0):
-            raise InvariantViolationError("pixel values must lie in [0, 1]")
 
 
 @dataclass
@@ -88,11 +87,7 @@ class AudioClip:
     sample_rate: int = PIPELINE_SAMPLE_RATE
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size < 1:
-            raise InvariantViolationError("audio clip needs at least one mono sample")
-        if self.samples.min() < -1.0 or self.samples.max() > 1.0:
-            raise InvariantViolationError("sample values must lie in [-1, 1]")
+        self.samples = as_floats(self.samples, "samples", 1, -1.0, 1.0)
 
     def __len__(self) -> int:
         return int(self.samples.size)

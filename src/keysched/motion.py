@@ -18,17 +18,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .errors import InvalidWindowError, InvariantViolationError, NotNormalizedError, as_index
+from .errors import (InvalidWindowError, InvariantViolationError, NotNormalizedError,
+                     as_floats, as_index)
 
 STAGE_RAW = "raw"
 STAGE_SMOOTHED = "smoothed"
 STAGE_NORMALIZED = "normalized"
 
-_STAGES = (STAGE_RAW, STAGE_SMOOTHED, STAGE_NORMALIZED)
+_STAGE_MAX = {STAGE_RAW: np.inf, STAGE_SMOOTHED: np.inf, STAGE_NORMALIZED: 1.0}
 
 DEFAULT_SMOOTH_WINDOW = 5
 DEFAULT_MIN_DISTANCE = 5
@@ -52,17 +52,9 @@ class MotionCurve:
     stage: str = STAGE_RAW
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size < 1:
-            raise InvariantViolationError("motion curve must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.values)):
-            raise InvariantViolationError("motion curve values must be finite")
-        if np.any(self.values < 0):
-            raise InvariantViolationError("motion curve values must be non-negative")
-        if self.stage not in _STAGES:
+        if self.stage not in _STAGE_MAX:
             raise InvariantViolationError(f"unknown curve stage {self.stage!r}")
-        if self.stage == STAGE_NORMALIZED and np.any(self.values > 1.0):
-            raise InvariantViolationError("normalized curve values must lie in [0, 1]")
+        self.values = as_floats(self.values, "curve values", 1, 0.0, _STAGE_MAX[self.stage])
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -88,8 +80,11 @@ class Extrema:
         for name, idx in (("peaks", self.peaks), ("valleys", self.valleys)):
             if sorted(set(idx)) != idx:
                 raise InvariantViolationError(f"{name} must be sorted and distinct")
-        if self.prominences is not None and len(self.prominences) != len(self.peaks):
-            raise InvariantViolationError("need one prominence per peak")
+        prom = self.prominences  # as_floats rejects [], which an Extrema without peaks may carry
+        if prom is not None and (self.peaks or not isinstance(prom, list) or prom):
+            self.prominences = as_floats(prom, "prominences", 1, lo=0.0).tolist()
+            if len(self.prominences) != len(self.peaks):
+                raise InvariantViolationError("need one prominence per peak")
 
 
 def smooth(curve: MotionCurve, window: int = DEFAULT_SMOOTH_WINDOW) -> MotionCurve:
@@ -106,19 +101,21 @@ def smooth(curve: MotionCurve, window: int = DEFAULT_SMOOTH_WINDOW) -> MotionCur
     n = x.size
     # n - 1 already spans the whole curve from every index, and keeps idx - half in int64
     half = min(window // 2, n - 1)
-    csum = np.concatenate(([0.0], np.cumsum(x)))
+    with np.errstate(over="ignore"):  # past the float range, sum x / 2**k, 2**k >= n, instead
+        csum = np.cumsum(x)
+    scale = float(1 << (n - 1).bit_length()) if np.isinf(csum[-1]) else 1.0  # exact for normals
+    csum = np.concatenate(([0.0], csum if scale == 1.0 else np.cumsum(x / scale)))
     idx = np.arange(n)
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half, n - 1)
-    out = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    out = (csum[hi + 1] - csum[lo]) / (hi - lo + 1) * scale
     return MotionCurve(out, stage=STAGE_SMOOTHED)
 
 
 def normalize(curve: MotionCurve) -> MotionCurve:
     """Min-max scale to [0, 1]; a flat curve (range below FLAT_RANGE) maps to all zeros."""
     x = curve.values
-    lo = float(x.min())
-    hi = float(x.max())
+    lo, hi = float(x.min()), float(x.max())
     if hi - lo < FLAT_RANGE:
         return MotionCurve(np.zeros_like(x), stage=STAGE_NORMALIZED)
     return MotionCurve((x - lo) / (hi - lo), stage=STAGE_NORMALIZED)
@@ -254,8 +251,7 @@ def detect_extrema(
     before each prominence's one subtraction.
     """
     min_distance = as_index(min_distance, "min_distance")
-    if not (isinstance(min_prominence, Real) and 0 <= min_prominence < np.inf):
-        raise InvariantViolationError(f"min_prominence must be finite, >= 0: {min_prominence!r}")
+    min_prominence = float(as_floats(min_prominence, "min_prominence", lo=0.0))
     if curve.stage != STAGE_NORMALIZED:
         raise NotNormalizedError("extrema detection requires a normalized curve")
     peaks, prominences = _peaks(curve.values, min_distance, min_prominence)

@@ -8,12 +8,12 @@ weight matrices; nothing here stores parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .audiofeat import as_feature_matrix
-from .errors import InvariantViolationError, ShapeMismatchError
+from .errors import ShapeMismatchError, as_floats
 
 DEFAULT_IMAGE_SCALE = 2.0
 DEFAULT_TEXT_SCALE = 1.0
@@ -29,8 +29,8 @@ class GuidanceScales:
     audio: float = DEFAULT_AUDIO_SCALE
 
     def __post_init__(self):
-        if not all(np.isfinite([self.image, self.text, self.audio])):
-            raise InvariantViolationError("guidance scales must be finite")
+        for f in fields(self):
+            setattr(self, f.name, float(as_floats(getattr(self, f.name), f.name)))
 
 
 @dataclass
@@ -40,9 +40,7 @@ class FusionWeights:
     audio: float = 1.0
     image: float = 1.0
 
-    def __post_init__(self):
-        if not all(np.isfinite([self.audio, self.image])):
-            raise InvariantViolationError("fusion weights must be finite")
+    __post_init__ = GuidanceScales.__post_init__
 
 
 def attention_weights(q, k) -> np.ndarray:

@@ -76,9 +76,8 @@ def test_criterion_05_peak_detection_oracle():
         curve = motion.normalize(motion.MotionCurve(rng.random(n)))
         peaks = motion.detect_peaks(curve, min_distance=5, min_prominence=0.1)
         assert peaks == detect_peaks_oracle(curve.values.tolist(), 5, 0.1)
-        negated = motion.MotionCurve(curve.values.max() - curve.values,
-                                     stage=motion.STAGE_NORMALIZED)
-        assert motion.detect_valleys(curve) == motion.detect_peaks(negated)
+        valleys = motion.detect_valleys(curve)
+        assert valleys == detect_peaks_oracle((-curve.values).tolist(), 5, 0.1)
 
 
 def test_criterion_06_flow_sanity():

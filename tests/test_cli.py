@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -151,6 +152,15 @@ class TestSelectCommand:
         run(["select", "--scores", path, "--k", "12", "--random", "--seed", "7",
              "--out", out2])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_scores_summing_past_the_float_range(self, tmp_path):
+        # every score is finite, but their running sum overflows a float
+        path = tmp_path / "scores.csv"
+        path.write_text("index,score\n0,1e308\n1,1e308\n2,1e308\n3,0\n4,1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["select", "--scores", path, "--k", "2", "--out", tmp_path / "s.json"]) == 0
+            assert run(["plot", "--scores", path, "--out", tmp_path / "c.svg"]) == 0
 
 
 class TestSpectrogramCommand:

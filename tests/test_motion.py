@@ -53,6 +53,16 @@ class TestSmooth:
         values = np.array([1.0, 5.0, 2.0])
         assert np.array_equal(motion.smooth(motion.MotionCurve(values), 1).values, values)
 
+    def test_sum_past_the_float_range_is_taken_scaled(self):
+        x = np.array([1e308, 1e308, 1e308, 0.0, 1e308])
+        out = motion.smooth(motion.MotionCurve(x)).values
+        assert np.allclose(out, [1e308, 7.5e307, 8e307, 7.5e307, 1e308 / 1.5], rtol=1e-15, atol=0)
+        # 2**3 >= 5 values, and scaling by a power of two is exact
+        assert out.tobytes() == (motion.smooth(motion.MotionCurve(x / 8)).values * 8).tobytes()
+        # five values near the float maximum need all of 2**3: their sum / 2**2 overflows
+        near_max = motion.smooth(motion.MotionCurve(np.full(5, 1.7e308)), 3).values
+        assert np.allclose(near_max, 1.7e308, rtol=1e-15, atol=0)
+
     @pytest.mark.parametrize("window", [10**20 + 1, 10**400 + 1])
     def test_window_past_int64_averages_whole_curve(self, window):
         curve = motion.MotionCurve(np.random.default_rng(3).random(9))

@@ -1,9 +1,13 @@
-"""Input validation: the one integer rule and each constructor's own checks.
+"""Input validation: the one integer rule, the one real rule and each constructor's own checks.
 
 ``errors.as_index`` decides for every index and count in the library whether
 a value is an integer: Python and NumPy integers pass, and ``bool``, floats
-(``3.0`` too) and strings raise ``InvariantViolationError``. The second table
-drives every other validation branch to its ``KeyschedError`` class.
+(``3.0`` too) and strings raise ``InvariantViolationError``. ``errors.as_floats``
+decides the same for every real value: Python and NumPy integers and floats
+pass, and NaN, +-inf, ``bool``, strings, ``None``, ragged nesting, a wrong
+number of dimensions, an empty array and values out of bounds raise
+``InvariantViolationError``. The last table drives every other validation
+branch to its ``KeyschedError`` class.
 """
 
 import dataclasses
@@ -104,11 +108,103 @@ def test_as_index_bounds():
             errors.as_index(value, "n", lo=lo, hi=hi)
 
 
+# entry point -> (call with the value under test, its shape, a value out of its bounds or None)
+FLOAT_SITES = {
+    "Frame.pixels": (lambda a: ingest.Frame(len(a), 2, a), (1, 2), 1.5),
+    "AudioClip.samples": (lambda a: ingest.AudioClip(a), (2,), -1.5),
+    "MotionCurve.values": (lambda a: MotionCurve(a), (2,), -0.5),
+    "MotionCurve.values.normalized": (lambda a: MotionCurve(a, stage="normalized"), (2,), 1.5),
+    "FlowField.u": (lambda a: flow.FlowField(a, np.zeros((1, 2))), (1, 2), None),
+    "FlowField.v": (lambda a: flow.FlowField(np.zeros((1, 2)), a), (1, 2), None),
+    "FlowParams.alpha": (lambda a: flow.FlowParams(alpha=a), (), 0.0),
+    "FlowParams.convergence_eps": (lambda a: flow.FlowParams(convergence_eps=a), (), -0.5),
+    "MelSpectrogram.values": (lambda a: audiofeat.MelSpectrogram(a), (128, 2), -0.5),
+    "GuidanceScales.image": (lambda a: refops.GuidanceScales(image=a), (), None),
+    "GuidanceScales.text": (lambda a: refops.GuidanceScales(text=a), (), None),
+    "GuidanceScales.audio": (lambda a: refops.GuidanceScales(audio=a), (), None),
+    "FusionWeights.audio": (lambda a: refops.FusionWeights(audio=a), (), None),
+    "FusionWeights.image": (lambda a: refops.FusionWeights(image=a), (), None),
+    "detect_extrema.min_prominence": (lambda a: motion.detect_extrema(NORM, 1, a), (), -0.5),
+    "Extrema.prominences": (lambda a: Extrema(peaks=[3], prominences=a), (1,), -0.5),
+}
+NOT_REALS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "bool": True, "str": "0.5",
+             "None": None}
+
+
+def filled(value, shape):
+    """``value`` at every position of ``shape``, as nested lists; ``value`` itself for ``()``."""
+    for n in reversed(shape):
+        value = [value] * n
+    return value
+
+
+def bad_shapes(shape):
+    """Values of the wrong shape for a site that takes ``shape``, by name."""
+    good = filled(1.0, shape)
+    if not shape:
+        return {"extra_dim": [good, good]}
+    return {"extra_dim": [good], "ragged": good + [[1.0]], "empty": np.zeros((0, *shape[1:]))}
+
+
+@pytest.mark.parametrize("value", sorted(NOT_REALS))
+@pytest.mark.parametrize("site", sorted(FLOAT_SITES))
+def test_float_rule_rejects(site, value):
+    call, shape, _ = FLOAT_SITES[site]
+    with pytest.raises(errors.InvariantViolationError):
+        call(filled(NOT_REALS[value], shape))
+
+
+@pytest.mark.parametrize("site, case", [(site, case) for site in sorted(FLOAT_SITES)
+                                        for case in sorted(bad_shapes(FLOAT_SITES[site][1]))])
+def test_float_rule_rejects_shape(site, case):
+    call, shape, _ = FLOAT_SITES[site]
+    with pytest.raises(errors.InvariantViolationError):
+        call(bad_shapes(shape)[case])
+
+
+@pytest.mark.parametrize("site", sorted(s for s in FLOAT_SITES if FLOAT_SITES[s][2] is not None))
+def test_float_rule_rejects_out_of_bounds(site):
+    call, shape, outside = FLOAT_SITES[site]
+    with pytest.raises(errors.InvariantViolationError):
+        call(filled(outside, shape))
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.int64])
+@pytest.mark.parametrize("site", sorted(FLOAT_SITES))
+def test_float_rule_accepts_numpy_scalars(site, kind):
+    call, shape, _ = FLOAT_SITES[site]
+    assert repr(plain(call(filled(kind(1), shape)))) == repr(plain(call(filled(1.0, shape))))
+
+
+def test_as_floats_returns_float64_without_copying():
+    pixels = np.zeros((2, 3))
+    assert errors.as_floats(pixels, "pixels", 2) is pixels
+    assert errors.as_floats(3, "x").dtype == np.float64
+    assert errors.as_floats(3, "x").ndim == 0
+    for value, lo, hi in ((0.5, 0.6, 1.0), (0.5, 0.0, 0.4)):
+        with pytest.raises(errors.InvariantViolationError):
+            errors.as_floats(value, "x", lo=lo, hi=hi)
+    assert errors.as_floats(0.5, "x", lo=0.5, hi=0.5) == 0.5
+
+
+def test_extrema_prominences_are_a_list_of_floats():
+    given = Extrema(peaks=[3, 5], prominences=np.array([0.5, 1], dtype=np.float32))
+    assert given == Extrema(peaks=[3, 5], prominences=[0.5, 1.0])
+    assert type(given.prominences[1]) is float
+    assert Extrema(prominences=[]).prominences == []
+
+
 def read_zero_width_pgm():
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "zero.pgm"
         path.write_bytes(b"P5 0 4 255\n")
         ingest.read_pgm(path)
+
+
+def flow_on_nan_frame():
+    # the NaN frame is refused when it is built; a NaN once reached the solver's warp
+    still = ingest.Frame(32, 32, np.zeros((32, 32)))
+    flow.estimate_flow(ingest.Frame(32, 32, np.full((32, 32), np.nan)), still)
 
 
 def fuse_with_mismatched_query():
@@ -151,6 +247,7 @@ VALIDATION = {
                                                errors.InvariantViolationError),
     "detect_extrema.min_prominence_str": (lambda: motion.detect_extrema(NORM, 1, "a"),
                                           errors.InvariantViolationError),
+    "estimate_flow.nan_frame": (flow_on_nan_frame, errors.InvariantViolationError),
     "FlowField.shape": (lambda: flow.FlowField(np.zeros((2, 2)), np.zeros((2, 3))),
                         errors.InvariantViolationError),
     "FlowField.finite": (lambda: flow.FlowField(np.zeros((2, 2)), np.full((2, 2), np.inf)),
