@@ -9,6 +9,7 @@ tokens at stride 10 and 46 at stride 4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,9 +77,13 @@ def _mel_to_hz(mel: float) -> float:
     return 1000.0 * math.exp((math.log(6.4) / 27.0) * (mel - 15.0))
 
 
+@functools.cache
 def mel_filterbank() -> np.ndarray:
     """Area-normalized triangular filters on the Slaney mel scale: N_MELS
-    bands up to FMAX over the bins of a WINDOW_SIZE-point FFT."""
+    bands up to FMAX over the bins of a WINDOW_SIZE-point FFT.
+
+    Built once per process; every call returns the same read-only array.
+    """
     n_bins = WINDOW_SIZE // 2 + 1
     fft_freqs = np.arange(n_bins) * (PIPELINE_SAMPLE_RATE / WINDOW_SIZE)
     mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(FMAX), N_MELS + 2)
@@ -86,7 +91,9 @@ def mel_filterbank() -> np.ndarray:
     lo, mid, hi = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
     rising = (fft_freqs - lo) / (mid - lo)
     falling = (hi - fft_freqs) / (hi - mid)
-    return np.maximum(0.0, np.minimum(rising, falling)) * (2.0 / (hi - lo))
+    bank = np.maximum(0.0, np.minimum(rising, falling)) * (2.0 / (hi - lo))
+    bank.flags.writeable = False
+    return bank
 
 
 def mel_spectrogram(clip: AudioClip) -> MelSpectrogram:

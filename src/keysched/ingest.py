@@ -45,6 +45,8 @@ class Frame:
     pixels: np.ndarray
 
     def __post_init__(self):
+        self.height = as_index(self.height, "height", lo=1)
+        self.width = as_index(self.width, "width", lo=1)
         self.pixels = as_floats(self.pixels, "pixels", 2, 0.0, 1.0)
         if self.pixels.shape != (self.height, self.width):
             raise InvariantViolationError(
@@ -87,6 +89,7 @@ class AudioClip:
     sample_rate: int = PIPELINE_SAMPLE_RATE
 
     def __post_init__(self):
+        self.sample_rate = as_index(self.sample_rate, "sample_rate", lo=1)
         self.samples = as_floats(self.samples, "samples", 1, -1.0, 1.0)
 
     def __len__(self) -> int:
@@ -185,8 +188,8 @@ def load_frame_sequence(directory: str | Path) -> FrameSequence:
 def load_wav(path: str | Path) -> AudioClip:
     """Parse a RIFF/WAVE PCM16 mono file; samples map to value/32768.
 
-    Any sample rate loads as read; ``audiofeat.mel_spectrogram`` is the one
-    place that requires 16 kHz.
+    Any positive sample rate loads as read; ``audiofeat.mel_spectrogram`` is
+    the one place that requires 16 kHz.
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -337,27 +340,90 @@ def write_scores_csv(curve: MotionCurve, path: str | Path) -> None:
     _atomic_write_text(path, scores_csv_text(curve))
 
 
+def _digits_before(b: np.ndarray, end: np.ndarray, width: int | np.ndarray,
+                   wmax: int) -> np.ndarray:
+    """The int64 value of the ``width`` ASCII digits before each offset ``end``.
+
+    One column of bytes at a time, most significant first; a row narrower
+    than ``wmax`` reads '0' in the columns it lacks (whatever byte the offset
+    there points at, wrapped from the end of ``b`` if it is negative).
+    """
+    narrowest = np.min(width)
+    value = np.zeros(end.size, dtype=np.int64)
+    for k in range(wmax, 0, -1):
+        column = b.take(end - k)
+        if k > narrowest:
+            column[width < k] = ord("0")
+        value *= 10
+        value += column
+    return value - ord("0") * ((10 ** wmax - 1) // 9)
+
+
+def _fixed_point_rows(body: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The index and score columns of a body in ``scores_csv_text``'s layout.
+
+    Every row is ``<digits>,<digits>.<d digits>`` and a newline, with one
+    d >= 1 for all rows and at most 15 digits in each number; anything else
+    returns None. A score is then its digits as an integer below 10**15 <
+    2**53, so exact as a float, divided by the exact 10.0**d: one correctly
+    rounded division, the float that ``float()`` and ``np.loadtxt`` read.
+    """
+    b = np.frombuffer(body, dtype=np.uint8)
+    newline = np.flatnonzero(b == ord("\n"))
+    comma = np.flatnonzero(b == ord(","))
+    rows = newline.size
+    if not (rows and comma.size == rows and body.endswith(b"\n")):
+        return None
+    # d is read off the first row: the bytes between its dot and its newline
+    d = int(newline[0]) - body.find(b".") - 1
+    dot = newline - d - 1
+    index_width = comma - np.concatenate(([0], newline[:-1] + 1))
+    whole_width = dot - comma - 1
+    # with exactly one comma, dot and newline per row in that order, every
+    # byte left over must be a digit: none above '9', and none but those
+    # 3 * rows below '0'
+    if not (0 < d and index_width.min() > 0 and whole_width.min() > 0
+            and np.all(b.take(dot) == ord("."))
+            and b.max() <= ord("9") and np.count_nonzero(b < ord("0")) == 3 * rows):
+        return None
+    index_digits, whole_digits = int(index_width.max()), int(whole_width.max())
+    if index_digits > 15 or whole_digits + d > 15:
+        return None
+    index = _digits_before(b, comma, index_width, index_digits)
+    mantissa = _digits_before(b, dot, whole_width, whole_digits) * 10 ** d
+    mantissa += _digits_before(b, newline, d, d)
+    return index, mantissa / 10.0 ** d
+
+
 def read_scores_csv(path: str | Path) -> MotionCurve:
-    """Read a scores CSV back into a raw-stage MotionCurve."""
+    """Read a scores CSV back into a raw-stage MotionCurve.
+
+    A body in the layout ``scores_csv_text`` writes is read by
+    ``_fixed_point_rows``; any other body goes through ``np.loadtxt``.
+    """
     header, _, body = _read_text(path, "ascii").partition("\n")
     if header != CSV_HEADER:
         raise ParseError(f"{path}: first line is not the '{CSV_HEADER}' header")
-    if not body.strip():
+    if not body or body.isspace():  # what strip() would empty, without copying the body
         raise ParseError(f"{path}: no score rows")
     # NumPy's number parsers skip the ASCII separators \x1c-\x1f as
     # whitespace; int() and float() do not, and neither does this format
     if any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
         raise ParseError(f"{path}: control byte in a score row")
-    try:
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
-                          dtype=[("index", np.int64), ("score", np.float64)])
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    misplaced = np.flatnonzero(rows["index"] != np.arange(rows.size))
+    columns = _fixed_point_rows(body.encode("ascii"))
+    if columns is None:
+        try:
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                              dtype=[("index", np.int64), ("score", np.float64)])
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        columns = rows["index"], np.ascontiguousarray(rows["score"])
+    index, scores = columns
+    misplaced = np.flatnonzero(index != np.arange(index.size))
     if misplaced.size:
         row = misplaced[0]
-        raise ParseError(f"{path}: row {row} carries index {rows['index'][row]}")
-    return MotionCurve(np.ascontiguousarray(rows["score"]), stage=STAGE_RAW)
+        raise ParseError(f"{path}: row {row} carries index {index[row]}")
+    return MotionCurve(scores, stage=STAGE_RAW)
 
 
 # --- schedule JSON ---

@@ -108,8 +108,10 @@ def smooth(curve: MotionCurve, window: int = DEFAULT_SMOOTH_WINDOW) -> MotionCur
     idx = np.arange(n)
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half, n - 1)
-    out = (csum[hi + 1] - csum[lo]) / (hi - lo + 1) * scale
-    return MotionCurve(out, stage=STAGE_SMOOTHED)
+    mean = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    if scale != 1.0:  # a mean of rounded prefix sums can exceed max / scale
+        mean = np.minimum(mean, x.max() / scale)
+    return MotionCurve(mean * scale, stage=STAGE_SMOOTHED)
 
 
 def normalize(curve: MotionCurve) -> MotionCurve:

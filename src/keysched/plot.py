@@ -48,10 +48,6 @@ class PlotSpec:
             raise InvariantViolationError(f"extrema index beyond curve of length {n}")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def render_plot(spec: PlotSpec) -> str:
     """Render the chart as a standalone SVG document string."""
     values = spec.curve.values
@@ -62,10 +58,11 @@ def render_plot(spec: PlotSpec) -> str:
     inner_w = spec.width - 2 * MARGIN
     inner_h = spec.height - 2 * MARGIN
 
-    def sx(i: int) -> float:
-        return MARGIN + (inner_w * i / (n - 1) if n > 1 else inner_w / 2)
+    def sx(i: np.ndarray) -> np.ndarray:
+        # a one-point curve is centred
+        return MARGIN + (inner_w * i / (n - 1) if n > 1 else np.full(i.shape, inner_w / 2))
 
-    def sy(v: float) -> float:
+    def sy(v: np.ndarray) -> np.ndarray:
         return MARGIN + inner_h * (1.0 - (v - lo) / span)
 
     parts = [
@@ -75,26 +72,26 @@ def render_plot(spec: PlotSpec) -> str:
         f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
     ]
     if spec.schedule is not None:
-        for kf in spec.schedule.keyframes:
-            x = _fmt(sx(kf))
+        y1, y2 = f"{MARGIN:.2f}", f"{MARGIN + inner_h:.2f}"
+        for x in fixed_text(sx(np.array(spec.schedule.keyframes))[:, None], 2).split():
             parts.append(
-                f'<line x1="{x}" y1="{_fmt(MARGIN)}" x2="{x}" y2="{_fmt(MARGIN + inner_h)}" '
+                f'<line x1="{x}" y1="{y1}" x2="{x}" y2="{y2}" '
                 f'stroke="{KEYFRAME_COLOR}" stroke-width="1" stroke-dasharray="3,3"/>'
             )
-    # sx and sy take arrays too; a one-point curve's scalar centre x broadcasts
-    xs = np.broadcast_to(sx(np.arange(n)), n)
-    points = fixed_text(np.column_stack((xs, sy(values))), 2, end=" ")[:-1]
+    points = fixed_text(np.column_stack((sx(np.arange(n)), sy(values))), 2, end=" ")[:-1]
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="{CURVE_COLOR}" stroke-width="1.5"/>'
     )
     marks = ((spec.extrema.peaks, 1, PEAK_COLOR), (spec.extrema.valleys, -1, VALLEY_COLOR))
     for indices, d, color in marks:
-        for idx in indices:
-            x, y = sx(idx), sy(values[idx])
-            parts.append(
-                f'<polygon points="{_fmt(x)},{_fmt(y - d * MARK_SIZE)} '
-                f'{_fmt(x - MARK_SIZE)},{_fmt(y + d * MARK_SIZE)} '
-                f'{_fmt(x + MARK_SIZE)},{_fmt(y + d * MARK_SIZE)}" fill="{color}"/>'
-            )
+        if not indices:
+            continue
+        x, y = sx(np.array(indices)), sy(values[indices])
+        # apex, then the two base corners: one "x,y" pair per row
+        corners = np.column_stack((x, y - d * MARK_SIZE, x - MARK_SIZE, y + d * MARK_SIZE,
+                                   x + MARK_SIZE, y + d * MARK_SIZE)).reshape(-1, 2)
+        pairs = fixed_text(corners, 2, end=" ").split()
+        for apex, left, right in zip(pairs[::3], pairs[1::3], pairs[2::3]):
+            parts.append(f'<polygon points="{apex} {left} {right}" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

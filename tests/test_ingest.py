@@ -1,4 +1,5 @@
 import pickle
+import re
 import struct
 import warnings
 
@@ -192,6 +193,24 @@ class TestLoadWav:
         assert np.allclose(back.samples, clip.samples, atol=1 / 32768)
 
 
+# a body in the layout scores_csv_text writes: "<index>,<whole>.<d digits>\n"
+# rows with one d for all, and at most 15 digits in each number
+FIXED_ROW = re.compile(r"([0-9]+),([0-9]+)\.([0-9]+)")
+
+
+def in_fixed_point_layout(body: str) -> bool:
+    rows = [FIXED_ROW.fullmatch(line) for line in body.split("\n")[:-1]]
+    return (body.endswith("\n") and all(rows) and len({len(m[3]) for m in rows}) == 1
+            and all(len(m[1]) <= 15 and len(m[2]) + len(m[3]) <= 15 for m in rows))
+
+
+# rows of u * 10**e written with {:.Nf}: one N from 1 to 15 for the file, and
+# whole parts of 1 to 15 digits, so some files have more than 15 digits a number
+fixed_point_bodies = st.integers(1, 15).flatmap(lambda places: st.lists(
+    st.tuples(st.integers(0, 15), st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=40,
+).map(lambda rows: "".join(f"{i},{u * 10.0 ** e:.{places}f}\n" for i, (e, u) in enumerate(rows))))
+
+
 class TestScoresCsv:
     def test_roundtrip(self, tmp_path):
         curve = MotionCurve(np.array([0.0, 0.5, 1.0]))
@@ -256,6 +275,36 @@ class TestScoresCsv:
                                        for i, (v, fmt, lead, trail) in enumerate(rows)]
         path = tmp_path_factory.mktemp("csv") / "any.csv"
         path.write_bytes((eol.join(lines) + eol).encode())
+        back = ingest.read_scores_csv(path)
+        assert back.values.tobytes() == read_scores_csv_oracle(path).values.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=fixed_point_bodies)
+    @example(body="0,123456789.012345\n1,0.000001\n")  # 15 digits: exact path
+    @example(body="0,1234567890.123456\n")  # 16 digits
+    @example(body="0000000000000000,0.5\n")  # a 16-digit index
+    @example(body="0,0.5\n1,1e-3\n2,0.25\n")  # an exponent
+    @example(body="0,2.5E3\n1,1.0e0\n")  # exponents with no sign, after d = 3 places
+    @example(body="0,0.5\n1,0.25\n")  # d differs between rows
+    @example(body="0,0.50\n1,0.25")  # no final newline
+    def test_fixed_point_layout_matches_row_loop_oracle(self, body, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "fixed.csv"
+        path.write_text(ingest.CSV_HEADER + "\n" + body)
+        assert (ingest._fixed_point_rows(body.encode()) is not None) == in_fixed_point_layout(body)
+        back = ingest.read_scores_csv(path)
+        assert back.values.tobytes() == read_scores_csv_oracle(path).values.tobytes()
+
+    def test_written_file_is_read_without_loadtxt(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        # below 10**5 a 9-decimal score has at most 14 digits
+        curve = MotionCurve(rng.random(2000) * 10.0 ** rng.integers(0, 6, 2000))
+        path = tmp_path / "w.csv"
+        ingest.write_scores_csv(curve, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on a file in the writer's layout")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
         back = ingest.read_scores_csv(path)
         assert back.values.tobytes() == read_scores_csv_oracle(path).values.tobytes()
 
@@ -482,12 +531,14 @@ class TestReadersFuzz:
     def test_load_wav(self, data, tmp_path_factory):
         self.check(ingest.load_wav, data, tmp_path_factory)
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=fuzzed(b"index,score\n0,0.25\n1,1e-3\n"))
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.one_of(fuzzed(b"index,score\n0,0.25\n1,1e-3\n"),
+                          fuzzed(b"index,score\n0,0.250\n1,17.125\n2,3.000\n")))
     @example(data=b"index,score\n0,0_5\n")
     @example(data=b"\nindex,score\n0,0.5\n")
     @example(data=b"index,score\n \n\n")
     @example(data=b"index,score\n0,\x1c0.5\n")
+    @example(data=b"index,score\n0,0.5\n1")  # digits after the last newline
     def test_read_scores_csv(self, data, tmp_path_factory):
         self.check_against(read_scores_csv_oracle, ingest.read_scores_csv, data,
                            lambda d: b"_" in d or d[:1] in (b"\n", b"\r"),

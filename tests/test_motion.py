@@ -1,4 +1,6 @@
+import sys
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -62,6 +64,17 @@ class TestSmooth:
         # five values near the float maximum need all of 2**3: their sum / 2**2 overflows
         near_max = motion.smooth(motion.MotionCurve(np.full(5, 1.7e308)), 3).values
         assert np.allclose(near_max, 1.7e308, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("top, n, window", [
+        (sys.float_info.max, 4, 1),
+        (np.nextafter(sys.float_info.max, 0), 8, 3),
+    ])
+    def test_scaled_mean_stays_within_the_float_range(self, top, n, window):
+        # a mean of rounded scaled prefix sums can land above max / 2**k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = motion.smooth(motion.MotionCurve(np.full(n, top)), window).values
+        assert np.all(np.isfinite(out)) and np.all(out <= top)
 
     @pytest.mark.parametrize("window", [10**20 + 1, 10**400 + 1])
     def test_window_past_int64_averages_whole_curve(self, window):

@@ -74,6 +74,9 @@ INDEX_SITES = {
     "FlowParams.pyramid_levels": (lambda v: flow.FlowParams(pyramid_levels=v), 3),
     "PlotSpec.width": (lambda v: plot.render_plot(plot.PlotSpec(v, 60, NORM, Extrema())), 60),
     "PlotSpec.height": (lambda v: plot.render_plot(plot.PlotSpec(60, v, NORM, Extrema())), 60),
+    "Frame.height": (lambda v: ingest.Frame(v, 3, np.zeros((3, 3))), 3),
+    "Frame.width": (lambda v: ingest.Frame(3, v, np.zeros((3, 3))), 3),
+    "AudioClip.sample_rate": (lambda v: ingest.AudioClip(np.zeros(4), v), 16000),
 }
 
 
@@ -98,6 +101,19 @@ def test_index_rule(site, value):
     else:
         with pytest.raises(errors.InvariantViolationError):
             call(value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ingest.Frame(2.0, 3, np.zeros((2, 3))),
+    lambda: ingest.Frame(0, 3, np.zeros((0, 3))),
+    lambda: ingest.AudioClip(np.zeros(500), sample_rate=16000.0),
+    lambda: ingest.AudioClip(np.zeros(500), sample_rate="x"),
+    lambda: ingest.AudioClip(np.zeros(500), sample_rate=0),
+], ids=["height-2.0", "height-0", "rate-16000.0", "rate-str", "rate-0"])
+def test_sizes_and_rates_are_positive_integers(make):
+    with pytest.raises(errors.InvariantViolationError) as info:
+        make()
+    assert info.value.exit_code == 2
 
 
 def test_as_index_bounds():
