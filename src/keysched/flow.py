@@ -9,6 +9,9 @@ benchmark endpoint accuracy.
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -181,42 +184,49 @@ def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
     return uv + cur[:, 1:-1, 1:-1]
 
 
-def _pair_flows(seq: FrameSequence | FrameSource, params: FlowParams) -> Iterator[FlowField]:
-    """Coarse-to-fine flow of each consecutive frame pair, in order.
+def _pyramid_pairs(seq: FrameSequence | FrameSource,
+                   levels: int) -> Iterator[tuple[list, list]]:
+    """The pyramids of each consecutive frame pair, in order.
 
-    ``seq`` yields frames of one size, held in memory or read as the solver
-    reaches them; the coarsest level is checked once from that size, before
-    any frame is read. Each frame's pyramid is built once; only the previous
-    frame's stays live while the next pair is solved. The flow is one
-    (2, h, w) array of (u, v) from the coarsest level to the finest.
+    ``seq`` yields frames of one size, held in memory or read as the pairs
+    are taken; the coarsest level is checked once from that size, before any
+    frame is read. Each frame is read once and its pyramid built once, and
+    the generator keeps only the latest pyramid between pairs.
     """
     h, w = seq.height, seq.width
-    levels = params.pyramid_levels
     coarse_h, coarse_w = h >> (levels - 1), w >> (levels - 1)
     if coarse_h < MIN_COARSE_SIZE or coarse_w < MIN_COARSE_SIZE:
         raise TooSmallError(
             f"{h}x{w} leaves {coarse_h}x{coarse_w} at the coarsest of "
             f"{levels} levels (need >= {MIN_COARSE_SIZE})"
         )
-    alpha = params.alpha / 255.0
     prev = None
     for frame in seq:
         pyr = [frame.pixels]
         for _ in range(levels - 1):
             pyr.append(_downsample(pyr[-1]))
         if prev is not None:
-            uv = np.zeros((2, *pyr[-1].shape))
-            for level in range(levels - 1, -1, -1):
-                if level != levels - 1:
-                    _, ch, cw = uv.shape
-                    fh, fw = pyr[level].shape
-                    uv = _bilinear_sample(uv, np.linspace(0.0, cw - 1.0, fw),
-                                          np.linspace(0.0, ch - 1.0, fh)[:, None])
-                    uv *= np.array([fw / cw, fh / ch])[:, None, None]
-                uv = _solve_level(prev[level], pyr[level], uv, alpha,
-                                  params.iterations, params.convergence_eps)
-            yield FlowField(u=uv[0], v=uv[1])
+            yield prev, pyr
         prev = pyr
+
+
+def _solve_pair(prev: list, pyr: list, params: FlowParams) -> FlowField:
+    """Coarse-to-fine flow from the frame of pyramid ``prev`` to that of
+    ``pyr``: one (2, h, w) array of (u, v), from the coarsest level to the
+    finest."""
+    alpha = params.alpha / 255.0
+    levels = len(pyr)
+    uv = np.zeros((2, *pyr[-1].shape))
+    for level in range(levels - 1, -1, -1):
+        if level != levels - 1:
+            _, ch, cw = uv.shape
+            fh, fw = pyr[level].shape
+            uv = _bilinear_sample(uv, np.linspace(0.0, cw - 1.0, fw),
+                                  np.linspace(0.0, ch - 1.0, fh)[:, None])
+            uv *= np.array([fw / cw, fh / ch])[:, None, None]
+        uv = _solve_level(prev[level], pyr[level], uv, alpha,
+                          params.iterations, params.convergence_eps)
+    return FlowField(u=uv[0], v=uv[1])
 
 
 def estimate_flow(a: Frame, b: Frame, params: FlowParams | None = None) -> FlowField:
@@ -225,7 +235,9 @@ def estimate_flow(a: Frame, b: Frame, params: FlowParams | None = None) -> FlowF
     The returned (u, v) displace content of ``a`` onto ``b``: content moving
     one pixel right yields u near +1.
     """
-    return next(_pair_flows(FrameSequence([a, b]), params or FlowParams()))
+    params = params or FlowParams()
+    return _solve_pair(*next(_pyramid_pairs(FrameSequence([a, b]), params.pyramid_levels)),
+                       params)
 
 
 def motion_score(flow: FlowField, normalize: bool = True) -> float:
@@ -236,6 +248,13 @@ def motion_score(flow: FlowField, normalize: bool = True) -> float:
     return total
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def motion_curve(
     seq: FrameSequence | FrameSource,
     params: FlowParams | None = None,
@@ -244,14 +263,55 @@ def motion_curve(
     """Motion score of each consecutive frame pair, one entry per frame.
 
     Entry t scores the transition t -> t+1; the final entry duplicates its
-    predecessor so every frame index carries a score. Pairs are solved
-    serially, so each frame's pyramid is built once, and a ``FrameSource``
-    is read one frame at a time: peak memory does not grow with its length.
+    predecessor so every frame index carries a score.
+
+    Pairs are solved by ``min(2, usable CPUs, pairs)`` solvers: the calling
+    thread and at most one helper thread. Both take pairs from one
+    ``_pyramid_pairs`` stream under a lock, so each frame is read once, in
+    order, and its pyramid built once; each solves its pair outside the lock,
+    where NumPy releases the GIL, and stores the score at the pair's index.
+    Pairs are independent, so the bytes do not depend on the solver count.
+    A solver drops its pair before it takes the next, so at most two
+    pyramids per solver are live and peak memory does not grow with the
+    length of a ``FrameSource``.
+
+    The first failure stops both solvers after their current pair; the error
+    of the earliest frame or pair is raised once the helper has finished.
     """
     total = len(seq)
     if total < 2:
         raise TooShortError(f"need at least 2 frames, got {total}")
-    values = [motion_score(f, normalize=normalize)
-              for f in _pair_flows(seq, params or FlowParams())]
+    params = params or FlowParams()
+    pairs = _pyramid_pairs(seq, params.pyramid_levels)
+    lock = threading.Lock()
+    values = [0.0] * (total - 1)
+    order = itertools.count()  # the index of the pair next() hands out
+    failures = []  # (pair index, error), from either solver
+
+    def solve():
+        index = 0
+        try:
+            while not failures:
+                with lock:
+                    index = next(order)
+                    pair = next(pairs, None)
+                if pair is None:
+                    return
+                values[index] = motion_score(_solve_pair(*pair, params), normalize=normalize)
+                del pair  # hold no pyramid while waiting for the lock
+        except BaseException as exc:  # re-raised below, on the calling thread
+            failures.append((index, exc))
+
+    helper = None
+    if min(2, _usable_cpus(), total - 1) > 1:
+        helper = threading.Thread(target=solve, name="keysched-flow")
+        helper.start()
+    try:
+        solve()
+    finally:
+        if helper is not None:
+            helper.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     values.append(values[-1])
     return MotionCurve(np.array(values), stage=STAGE_RAW)

@@ -256,6 +256,10 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+# rows per fixed_text block: 64 KB per int64 temporary of a two-column table
+FIXED_BLOCK_ROWS = 4096
+
+
 def fixed_text(table, decimals, end: str = "\n") -> str:
     """Rows of a 2-D table as text, every value exactly ``format(x, f".{d}f")``.
 
@@ -271,11 +275,22 @@ def fixed_text(table, decimals, end: str = "\n") -> str:
     ``y >= 2**52`` go through ``format`` one by one. Every other value is cut
     into digit columns of one character matrix, from which one boolean mask
     drops the leading zeros.
+
+    The rows are formatted in blocks of at most ``FIXED_BLOCK_ROWS``, so the
+    temporaries stay small enough for the heap to reuse from block to block
+    instead of each being mapped and faulted in afresh.
     """
     x = np.asarray(table, dtype=np.float64)
     rows, cols = x.shape
     places = decimals if np.ndim(decimals) else [decimals]
     col_d = np.broadcast_to([as_index(v, "decimals", hi=19) for v in places], cols)
+    return "".join(_fixed_rows(x[i:i + FIXED_BLOCK_ROWS], col_d, end)
+                   for i in range(0, rows, FIXED_BLOCK_ROWS))
+
+
+def _fixed_rows(x: np.ndarray, col_d: np.ndarray, end: str) -> str:
+    """``fixed_text`` of one block of rows, with one d per column."""
+    rows, cols = x.shape
     dmax = int(col_d.max())
     # a shared d stays a scalar, so NumPy's inner loops run over whole rows
     d = dmax if col_d.min() == dmax else col_d

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -99,20 +100,28 @@ class TestScoreErrorOrder:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("keysched score: ")
 
-    def test_frame_resized_while_scoring_exits_2(self, pgm_dir, tmp_path, monkeypatch, capsys):
+    # frames are read in order whatever the solver count, so the error of
+    # frame 3 ends the run before frame 6 is reached
+    @pytest.mark.parametrize("resized", [(3,), (3, 6)], ids=["frame3", "frames3and6"])
+    def test_frame_resized_while_scoring_exits_2(self, resized, pgm_dir, tmp_path,
+                                                 monkeypatch, capsys):
         motion_curve = flow.motion_curve
 
         def resize_then_solve(source, *args, **kwargs):
-            (pgm_dir / "frame_0005.pgm").write_bytes(black_pgm(24, 32))
+            for i in resized:
+                (pgm_dir / f"frame_{i:04d}.pgm").write_bytes(black_pgm(24, 32))
             return motion_curve(source, *args, **kwargs)
 
         monkeypatch.setattr(flow, "motion_curve", resize_then_solve)
+        threads = threading.active_count()
         out = tmp_path / "scores.csv"
         assert run(["score", "--frames", pgm_dir, "--out", out]) == 2
+        assert threading.active_count() == threads
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("keysched score: frame 5 is 32x24, expected 32x48")
-        assert "Traceback" not in err
+        assert err.startswith("keysched score: frame 3 is 32x24, expected 32x48")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err and "Exception in thread" not in err
 
 
 class TestSelectCommand:

@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +261,68 @@ class TestMotionCurve:
         flow.motion_curve(synthetic_clip, flow.FlowParams(pyramid_levels=levels))
         assert len(calls) == len(synthetic_clip) * (levels - 1)
 
+    def test_at_most_two_pyramids_per_solver_are_live(self, synthetic_clip, monkeypatch):
+        """Counted as each pyramid's second level is built. A solver holds
+        one pair and drops it before it builds the next pyramid; one that
+        held its spent pair would make it three on one solver."""
+        built, counts = [], []
+        downsample = flow._downsample
+
+        def counting(img):
+            out = downsample(img)
+            if img.shape == (synthetic_clip.height, synthetic_clip.width):
+                built.append(weakref.ref(out))
+                counts.append(sum(ref() is not None for ref in built))
+            return out
+
+        monkeypatch.setattr(flow, "_downsample", counting)
+        flow.motion_curve(synthetic_clip)
+        solvers = min(2, flow._usable_cpus(), len(synthetic_clip) - 1)
+        assert len(counts) == len(synthetic_clip)
+        assert max(counts) <= 2 * solvers
+
+    def test_many_pairs_under_fast_thread_switching(self, monkeypatch):
+        """Tiny pairs with the interpreter switching threads every
+        microsecond: a lost update to the shared pair count would put a
+        score at the wrong index or skip or repeat a pair."""
+        rng = np.random.default_rng(200)
+        seq = FrameSequence(frames=[as_frame(rng.random((16, 16))) for _ in range(200)])
+        params = flow.FlowParams(iterations=2, pyramid_levels=2)
+        want = [flow.motion_score(flow.estimate_flow(a, b, params))
+                for a, b in zip(seq.frames, seq.frames[1:])]
+        calls = []
+        downsample = flow._downsample
+        monkeypatch.setattr(flow, "_downsample", lambda img: calls.append(1) or downsample(img))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            curve = flow.motion_curve(seq, params)
+        finally:
+            sys.setswitchinterval(interval)
+        assert curve.values.tobytes() == np.array(want + want[-1:]).tobytes()
+        assert len(calls) == len(seq)
+
+    def test_earliest_failure_wins(self, synthetic_clip, monkeypatch, capsys):
+        """Pair 4 fails first in time, while pair 2 is still being solved;
+        the error of pair 2 is the one raised, and no thread outlives it."""
+        index = {id(f.pixels): i for i, f in enumerate(synthetic_clip)}
+        solve_pair = flow._solve_pair
+
+        def failing(prev, pyr, params):
+            i = index[id(prev[0])]
+            if i == 2:
+                time.sleep(0.2)
+            if i in (2, 4):
+                raise errors.InvariantViolationError(f"pair {i}")
+            return solve_pair(prev, pyr, params)
+
+        monkeypatch.setattr(flow, "_solve_pair", failing)
+        threads = threading.active_count()
+        with pytest.raises(errors.InvariantViolationError, match="pair 2"):
+            flow.motion_curve(synthetic_clip)
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == ""
+
 
 GOLDEN_FLOW_SCORES = Path(__file__).parent / "golden" / "flow_scores.json"
 
@@ -383,3 +448,78 @@ class TestStreamedFrames:
                                   check=True)
             peaks.append(int(proc.stdout))
         assert abs(peaks[1] - peaks[0]) <= 2 * 2 ** 20, peaks
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+class TestSolverCount:
+    """``motion_curve`` on one solver (the process pinned to one CPU) and on
+    as many as the machine gives it, each in a fresh child process."""
+
+    # scores the directories argv[2:] in a child pinned to one CPU when
+    # argv[1] is "pinned"; prints the raw scores, how many threads ran
+    # _solve_level, the threads left alive and the child's peak RSS in bytes
+    CHILD = (
+        "import json, os, sys, threading\n"
+        "from keysched import flow, ingest\n"
+        "if sys.argv[1] == 'pinned':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "idents = set()\n"
+        "solve_level = flow._solve_level\n"
+        "def recording(*args):\n"
+        "    idents.add(threading.get_ident())\n"
+        "    return solve_level(*args)\n"
+        "flow._solve_level = recording\n"
+        "scores = [[repr(x) for x in flow.motion_curve(ingest.FrameSource(d),\n"
+        "           normalize=False).values.tolist()] for d in sys.argv[2:]]\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    peak = next(int(line.split()[1]) * 1024 for line in fh\n"
+        "                if line.startswith('VmHWM:'))\n"
+        "print(json.dumps({'scores': scores, 'threads': len(idents),\n"
+        "                  'alive': threading.active_count(), 'peak': peak}))\n"
+    )
+
+    def run_child(self, mode, dirs):
+        src = Path(ingest.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, mode, *map(str, dirs)],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(proc.stdout)
+
+    def test_scores_do_not_depend_on_solver_count(self, tmp_path):
+        dirs, want = [], []
+        for name in sorted(GOLDEN_CLIPS):
+            d = tmp_path / name
+            d.mkdir()
+            for i, frame in enumerate(GOLDEN_CLIPS[name]()):
+                write_pgm(frame, d / f"frame_{i:04d}.pgm")
+            # each pair alone, on the calling thread: the reference bytes
+            frames = ingest.load_frame_sequence(d).frames
+            pairwise = [flow.motion_score(flow.estimate_flow(a, b), normalize=False)
+                        for a, b in zip(frames, frames[1:])]
+            dirs.append(d)
+            want.append([repr(x) for x in pairwise + pairwise[-1:]])
+        pinned, free = self.run_child("pinned", dirs), self.run_child("free", dirs)
+        assert pinned["scores"] == free["scores"] == want
+        assert pinned["threads"] == 1
+        assert pinned["alive"] == free["alive"] == 1
+        if flow._usable_cpus() >= 2:
+            assert free["threads"] >= 2  # the helper ran
+
+    @pytest.mark.skipif(flow._usable_cpus() < 2, reason="the helper starts only with two CPUs")
+    def test_helper_adds_little_peak_memory(self, tmp_path):
+        """The helper's own pyramid and solver buffers, at 128x128: about
+        3 MB, whatever the clip length. How much of them the allocator holds
+        at the moment the two solvers peak together varies with thread
+        timing (3.1 to 4.3 MB over 30 runs on a 2-CPU VM), so the smallest
+        of up to three runs is compared."""
+        for i, frame in enumerate(sine_texture_clip(128, 128, 24, seed=24)):
+            write_pgm(frame, tmp_path / f"frame_{i:04d}.pgm")
+        added = []
+        for _ in range(3):
+            pinned = self.run_child("pinned", [tmp_path])
+            free = self.run_child("free", [tmp_path])
+            assert free["threads"] == 2
+            added.append(free["peak"] - pinned["peak"])
+            if added[-1] <= 4 * 2 ** 20:
+                break
+        assert min(added) <= 4 * 2 ** 20, added

@@ -377,6 +377,27 @@ class TestFixedText:
                        for row in table)
         assert ingest.fixed_text(table, decimals, end=end) == want
 
+    SPECIALS = [0.125, near_tie(123456789, 9), -0.0, -1.5, float("inf"), 0.375,
+                near_tie(12345, 2), float("-inf"), -0.0, 2.0 ** 53]
+
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097, 8193])
+    def test_row_blocks_match_format(self, rows):
+        """Ties, signed and non-finite values on both sides of each block
+        boundary, where the rows are formatted in separate blocks."""
+        block = ingest.FIXED_BLOCK_ROWS
+        assert block == 4096
+        rng = np.random.default_rng(rows)
+        table = rng.uniform(0.0, 1000.0, (rows, 2))
+        edges = [r for b in range(block, rows + block, block)
+                 for r in range(b - 2, b + 2) if r < rows]
+        for k, r in enumerate(edges):
+            table[r] = self.SPECIALS[k % 10], self.SPECIALS[(k + 3) % 10]
+        decimals = (2, 9)
+        got = ingest.fixed_text(table, decimals).split("\n")
+        assert got.pop() == ""
+        assert [row.split(",") for row in got] == [
+            [format(x, f".{d}f") for x, d in zip(row, decimals)] for row in table.tolist()]
+
 
 class TestScheduleJson:
     def test_roundtrip(self, tmp_path):
