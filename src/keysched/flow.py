@@ -82,7 +82,11 @@ def _gradients(img: np.ndarray):
 
 def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sample img (one plane or a stack of planes over its last two axes) at
-    fractional coordinates, clamping to the border; xs and ys broadcast."""
+    fractional coordinates, clamping to the border; xs and ys broadcast.
+
+    Each corner is one ``take`` through the flat index row * w + column,
+    which costs less than indexing with the two coordinate arrays.
+    """
     h, w = img.shape[-2:]
     xs = np.clip(xs, 0.0, w - 1.0)
     ys = np.clip(ys, 0.0, h - 1.0)
@@ -92,8 +96,10 @@ def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xs - x0
     fy = ys - y0
-    top = img[..., y0, x0] * (1.0 - fx) + img[..., y0, x1] * fx
-    bot = img[..., y1, x0] * (1.0 - fx) + img[..., y1, x1] * fx
+    planes = img.reshape(*img.shape[:-2], h * w)
+    r0, r1 = y0 * w, y1 * w  # flat offsets of the rows above and below
+    top = planes.take(r0 + x0, axis=-1) * (1.0 - fx) + planes.take(r0 + x1, axis=-1) * fx
+    bot = planes.take(r1 + x0, axis=-1) * (1.0 - fx) + planes.take(r1 + x1, axis=-1) * fx
     return top * (1.0 - fy) + bot * fy
 
 
@@ -125,63 +131,81 @@ def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
                  iterations: int, eps: float) -> np.ndarray:
     """Warp b by the current flow, then Jacobi-iterate the increment.
 
-    The increment (du, dv) lives as one (2, h, w) array in the interior of a
-    replicate-padded (2, h + 2, w + 2) grid; two such grids swap roles each
-    iteration, so the loop allocates nothing. The update runs on the flat
-    span from the first to the last interior pixel, where each 3x3 tap is a
-    constant offset and every operation is one contiguous pass. The border
-    pixels inside that span get values nothing reads before the replicate
-    refresh overwrites them. Each interior value goes through the float
-    operations of one ``np.pad`` convolution per component, in the same
-    order, so the result is bit-identical to that form.
+    du and dv live in the interiors of two replicate-padded (h + 2, w + 2)
+    grids placed back to back in one flat buffer; two such buffers swap
+    roles each iteration, so the loop allocates nothing. Each tap, product
+    and difference is one contiguous pass over the run from du's first
+    interior pixel to dv's last, where each 3x3 tap is a constant offset.
+    The border pixels inside that run, those between the two interiors
+    included, get finite values nothing reads before the replicate refresh
+    overwrites them. The components meet only in the shared term, which
+    adds their two interior spans. Each interior value goes through the
+    float operations of one ``np.pad`` convolution per component, in the
+    same order, so the result is bit-identical to that form.
     """
     h, w = a.shape
     row = w + 2
+    grid = (h + 2) * row
+    # du's first interior pixel, one component's interior span, and the run
+    # over both interiors
     start, size = row + 1, (h - 1) * row + w
-    # ix, iy, it, denom laid out like the grid; border 1.0 in denom keeps
+    span = grid + size
+    # ix, iy, it, denom laid out as four grids; border 1.0 in denom keeps
     # the discarded border values finite
     terms = np.zeros((4, h + 2, row))
     terms[3] = 1.0
     terms[:, 1:-1, 1:-1] = _linearize(a, b, uv, alpha)
-    terms = terms.reshape(4, -1)[:, start:start + size]
-    grad, it, denom = terms[:2], terms[2], terms[3]
-    cur, nxt = np.zeros((2, h + 2, row)), np.zeros((2, h + 2, row))
+    terms = terms.reshape(-1)[start:]
+    grad, it, denom = terms[:span], terms[2 * grid:][:size], terms[3 * grid:][:size]
     # the padded increment times each distinct nonzero weight, and the taps
     # in the row-major (dy, dx) order the convolution sums them in
-    weighted = {k: np.empty((2, (h + 2) * row)) for k in np.unique(_AVG_KERNEL) if k}
-    taps = [weighted[k][:, dy * row + dx:dy * row + dx + size]
+    weighted = {k: np.empty(2 * grid) for k in np.unique(_AVG_KERNEL) if k}
+    taps = [weighted[k][dy * row + dx:dy * row + dx + span]
             for (dy, dx), k in np.ndenumerate(_AVG_KERNEL) if k]
-    bar = np.empty((2, size))
-    tmp = np.empty((2, size))
+    bar = np.empty(span)
+    tmp = np.empty(span)
+    tmp_u, tmp_v, grad_u, grad_v = tmp[:size], tmp[grid:], grad[:size], grad[grid:]
     shared = np.empty(size)
-    diff = tmp[:, :h * w].reshape(2, h, w)  # tmp is free once nxt is written
+    # tmp is free once nxt is written; each row of diff_rows is a component
+    diff_rows = tmp[:2 * h * w].reshape(2, -1)
+    diff = diff_rows.reshape(2, h, w)
     sums = np.empty(2)
-    for _ in range(iterations):
-        for k, out in weighted.items():
-            np.multiply(cur.reshape(2, -1), k, out=out)
+
+    def views(flat):
+        """The buffer, its run, its interiors, and (border, source) pairs."""
+        g = flat.reshape(2, h + 2, row)
+        edges = [(g[:, 0, 1:-1], g[:, 1, 1:-1]), (g[:, -1, 1:-1], g[:, -2, 1:-1]),
+                 (g[:, :, 0], g[:, :, 1]), (g[:, :, -1], g[:, :, -2])]
+        return flat, flat[start:start + span], g[:, 1:-1, 1:-1], edges
+
+    first, second = views(np.zeros(2 * grid)), views(np.zeros(2 * grid))
+    parities = [(first, second), (second, first)]
+    nxt_in = first[2]  # a zero increment, should no iteration run
+    for step in range(iterations):
+        (cur, _, cur_in, _), (_, nxt_run, nxt_in, edges) = parities[step & 1]
+        for k, buf in weighted.items():
+            np.multiply(cur, k, out=buf)
         bar.fill(0.0)
         for tap in taps:
             bar += tap
         np.multiply(grad, bar, out=tmp)
-        np.add(tmp[0], tmp[1], out=shared)
+        np.add(tmp_u, tmp_v, out=shared)
         shared += it
         shared /= denom
-        np.multiply(grad, shared, out=tmp)
-        np.subtract(bar, tmp, out=nxt.reshape(2, -1)[:, start:start + size])
-        np.subtract(nxt[:, 1:-1, 1:-1], cur[:, 1:-1, 1:-1], out=diff)
-        np.abs(diff, out=diff)
+        np.multiply(grad_u, shared, out=tmp_u)
+        np.multiply(grad_v, shared, out=tmp_v)
+        np.subtract(bar, tmp, out=nxt_run)
+        np.subtract(nxt_in, cur_in, out=diff)
+        np.abs(diff_rows, out=diff_rows)
         # larger per-component mean of |new - old|; each row reduces in the
         # same pairwise order as np.mean of that component alone
-        np.add.reduce(diff.reshape(2, -1), axis=1, out=sums)
+        np.add.reduce(diff_rows, axis=1, out=sums)
         delta = float(sums.max()) / (h * w)
-        nxt[:, 0, 1:-1] = nxt[:, 1, 1:-1]
-        nxt[:, -1, 1:-1] = nxt[:, -2, 1:-1]
-        nxt[:, :, 0] = nxt[:, :, 1]
-        nxt[:, :, -1] = nxt[:, :, -2]
-        cur, nxt = nxt, cur
+        for border, source in edges:
+            border[...] = source
         if delta < eps:
             break
-    return uv + cur[:, 1:-1, 1:-1]
+    return uv + nxt_in
 
 
 def _pyramid_pairs(seq: FrameSequence | FrameSource,

@@ -226,21 +226,25 @@ def load_wav(path: str | Path) -> AudioClip:
 def _atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a uniquely named temp file beside the target, then rename.
 
-    A failed write removes the temp file and leaves the target untouched. The
-    temp file is created with mode 0666, so the result honours the umask as a
+    A failed write removes the temp file and leaves the target untouched; an
+    ``OSError`` is raised again naming ``path``, not the temp file. The temp
+    file is created with mode 0666, so the result honours the umask as a
     plain ``open`` would.
     """
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _read_text(path: str | Path, encoding: str) -> str:
@@ -342,6 +346,8 @@ def _fixed_rows(x: np.ndarray, col_d: np.ndarray, end: str) -> str:
 # --- scores CSV ---
 
 CSV_HEADER = "index,score"
+# ASCII separators a scores CSV may not hold
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
 
 def scores_csv_text(curve: MotionCurve) -> str:
@@ -416,19 +422,33 @@ def read_scores_csv(path: str | Path) -> MotionCurve:
     A body in the layout ``scores_csv_text`` writes is read by
     ``_fixed_point_rows``; any other body goes through ``np.loadtxt``.
     """
-    header, _, body = _read_text(path, "ascii").partition("\n")
-    if header != CSV_HEADER:
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        try:
+            data.decode("ascii")
+        except UnicodeDecodeError as exc:  # names the first non-ASCII byte
+            raise ParseError(f"{path}: {exc}") from exc
+    if b"\r" in data:  # the line ends a text-mode read turns into \n
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header, _, body = data.partition(b"\n")
+    del data  # the body is the one copy of the file kept
+    if header != CSV_HEADER.encode():
         raise ParseError(f"{path}: first line is not the '{CSV_HEADER}' header")
-    if not body or body.isspace():  # what strip() would empty, without copying the body
-        raise ParseError(f"{path}: no score rows")
     # NumPy's number parsers skip the ASCII separators \x1c-\x1f as
     # whitespace; int() and float() do not, and neither does this format
-    if any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+    control = any(sep in body for sep in _SEPARATORS)
+    # blank as str.isspace sees it, which counts those separators as
+    # whitespace where bytes.isspace does not; no copy unless one is present
+    rest = body.translate(None, _SEPARATORS) if control else body
+    if not rest or rest.isspace():
+        raise ParseError(f"{path}: no score rows")
+    if control:
         raise ParseError(f"{path}: control byte in a score row")
-    columns = _fixed_point_rows(body.encode("ascii"))
+    columns = _fixed_point_rows(body)
     if columns is None:
         try:
-            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+            rows = np.loadtxt(io.StringIO(body.decode("ascii")), delimiter=",",
+                              comments=None, ndmin=1,
                               dtype=[("index", np.int64), ("score", np.float64)])
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc

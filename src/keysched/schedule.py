@@ -27,6 +27,8 @@ from .selection import KeyframeSchedule
 
 FREENOISE_WINDOW = 12
 FREENOISE_STRIDE = 6
+# the most windows one plan may hold (its JSON takes about 30 bytes each)
+MAX_WINDOWS = 100_000
 
 
 @dataclass
@@ -65,7 +67,8 @@ class ConditionLayout:
 class WindowPlan:
     """Overlapping fixed-size windows covering [0, total_frames): starts step
     by ``stride`` while a full window fits; a trailing clamped window closes
-    any uncovered tail."""
+    any uncovered tail. The window count is checked against ``MAX_WINDOWS``
+    before any window is built."""
 
     total_frames: int
     window: int
@@ -79,6 +82,13 @@ class WindowPlan:
         if stride < 1 or stride > window or window > total:
             raise BadGeometryError(
                 f"need 1 <= stride <= window <= total_frames, got ({total}, {window}, {stride})"
+            )
+        # the full-stride windows, plus the clamped one if a tail is left
+        count = -(-(total - window) // stride) + 1
+        if count > MAX_WINDOWS:
+            raise BadGeometryError(
+                f"({total}, {window}, {stride}) makes {count} windows, "
+                f"more than MAX_WINDOWS = {MAX_WINDOWS}"
             )
         self.windows = [(s, s + window) for s in range(0, total - window + 1, stride)]
         if self.windows[-1][1] != total:

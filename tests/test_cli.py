@@ -1,5 +1,8 @@
+import errno
 import json
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_pgm_bytes, write_wav
-from keysched import audiofeat, cli, errors, flow, ingest, motion, selection
+from keysched import audiofeat, cli, errors, flow, ingest, motion, schedule, selection
 from keysched.cli import main
 from keysched.motion import MotionCurve
 
@@ -239,6 +242,31 @@ class TestWindowsCommand:
                 tracemalloc.stop()
             assert peak < 2 ** 20, (n, peak)
             assert json.loads(capsys.readouterr().out)["windows"] == [[0, n]]
+
+    # runs argv[1:] through the CLI in a child that caps its own address
+    # space, so a plan that builds every window fails there, not the machine
+    CAPPED = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from keysched.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="caps RLIMIT_AS as Linux applies it")
+    @pytest.mark.parametrize("frames", [10 ** 8, 10 ** 400], ids=["1e8", "1e400"])
+    def test_too_many_windows_exits_6(self, frames):
+        """The count is checked before any window is built."""
+        src = Path(ingest.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CAPPED, "windows", "--frames", str(frames),
+             "--window", "12", "--stride", "1"],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 6, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (f"keysched windows: ({frames}, 12, 1) makes {frames - 11} "
+                               f"windows, more than MAX_WINDOWS = {schedule.MAX_WINDOWS}\n")
 
 
 class TestEvalApCommand:
@@ -489,6 +517,23 @@ class TestOutputFiles:
         assert out.stat().st_mode & 0o777 == 0o644
         assert lib.stat().st_mode & 0o777 == 0o644
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json", "scores.csv"]
+
+    def test_missing_directory_error_names_the_output_path(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        ingest.write_scores_csv(MotionCurve(np.ones(48)), scores)
+        out = tmp_path / "missing_dir" / "o.json"
+        assert run(["select", "--scores", scores, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"keysched select: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n")
+        assert sorted(tmp_path.iterdir()) == [scores]
+
+    def test_directory_target_error_names_the_output_path(self, tmp_path, capsys):
+        out = tmp_path / "plan"
+        out.mkdir()
+        assert run(["windows", "--frames", "48", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"keysched windows: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out}'\n")
+        assert list(tmp_path.iterdir()) == [out] and not any(out.iterdir())
 
     def test_failed_write_keeps_target_and_removes_temp_file(self, tmp_path):
         out = tmp_path / "out.txt"

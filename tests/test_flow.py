@@ -109,11 +109,13 @@ def level_inputs(height, width, seed):
 
 
 class TestSolveLevelMatchesReference:
-    """The stacked in-place Jacobi loop against the per-component loop it
-    replaced (``oracles.solve_level_oracle``), compared bit for bit."""
+    """The in-place Jacobi loop over one flat (u, v) run against the
+    per-component loop it replaced (``oracles.solve_level_oracle``),
+    compared bit for bit. (8, 8) is the smallest coarse level; the flat and
+    tall shapes and the odd ones move the seam between u's and v's grids."""
 
     ALPHA = flow.DEFAULT_ALPHA / 255.0
-    SHAPES = [(8, 8), (17, 9), (64, 40)]
+    SHAPES = [(8, 8), (17, 9), (64, 40), (8, 64), (64, 8), (9, 17)]
 
     def check(self, shape, iterations, eps):
         a, b, u, v = level_inputs(*shape, seed=shape[0] * 100 + shape[1])
@@ -168,6 +170,20 @@ class TestStackedBilinearSample:
     def test_upsampling_coordinates(self, shape):
         ch, cw = shape
         fh, fw = 2 * ch + ch % 2, 2 * cw - cw % 2
+        uv = np.random.default_rng(ch * 100 + cw).standard_normal((2, ch, cw))
+        xs = np.linspace(0.0, cw - 1.0, fw)
+        ys = np.linspace(0.0, ch - 1.0, fh)
+        self.check(uv, xs, ys[:, None], *np.meshgrid(xs, ys))
+
+    # (coarse, fine) pyramid level shapes, as _downsample makes them
+    LEVELS = [((8, 8), (16, 16)), ((17, 17), (33, 33)), ((33, 33), (65, 65)),
+              ((9, 17), (17, 33)), ((17, 9), (33, 17)), ((64, 64), (128, 128))]
+
+    @pytest.mark.parametrize("coarse, fine", LEVELS)
+    def test_pyramid_upsampling(self, coarse, fine):
+        """The coordinates _solve_pair builds to carry the flow one level up."""
+        (ch, cw), (fh, fw) = coarse, fine
+        assert flow._downsample(np.zeros(fine)).shape == coarse
         uv = np.random.default_rng(ch * 100 + cw).standard_normal((2, ch, cw))
         xs = np.linspace(0.0, cw - 1.0, fw)
         ys = np.linspace(0.0, ch - 1.0, fh)

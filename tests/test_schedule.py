@@ -102,6 +102,16 @@ class TestFreenoiseWindows:
             if s2 - s1 == stride:
                 assert e1 - s2 == window - stride
 
+    def test_window_count_cap(self):
+        cap = schedule.MAX_WINDOWS
+        assert len(schedule.WindowPlan(cap, 1, 1).windows) == cap
+        assert len(schedule.WindowPlan(12 + (cap - 1) * 6, 12, 6).windows) == cap
+        with pytest.raises(errors.BadGeometryError, match=f"makes {cap + 1} windows"):
+            schedule.WindowPlan(cap + 1, 1, 1)
+        # a clamped tail window is one past the cap
+        with pytest.raises(errors.BadGeometryError, match=f"makes {cap + 1} windows"):
+            schedule.WindowPlan(12 + (cap - 1) * 6 + 1, 12, 6)
+
     def test_to_dict_shape(self):
         d = schedule.freenoise_windows(48, 12, 6).to_dict()
         assert d["windows"][0] == [0, 12]
