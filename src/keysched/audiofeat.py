@@ -24,6 +24,7 @@ from .errors import (
     WrongSampleRateError,
     as_floats,
     as_index,
+    as_real_array,
 )
 from .ingest import AudioClip, PIPELINE_SAMPLE_RATE, fixed_text
 from .selection import KeyframeSchedule
@@ -57,8 +58,8 @@ class MelSpectrogram:
 
 
 def as_feature_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a validated rows-by-channels float matrix."""
-    m = np.asarray(x, dtype=np.float64)
+    """Coerce to a validated rows-by-channels float matrix; its values are not checked."""
+    m = as_real_array(x, name).astype(np.float64, copy=False)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatchError(f"{name} must be a non-empty 2-D matrix, got shape {m.shape}")
     return m

@@ -20,8 +20,10 @@ from .plot import PlotSpec, render_plot
 
 
 def _prepare_curve(scores_path: str):
+    """The smoothed, normalized curve of a scores CSV, and its extrema."""
     raw = ingest.read_scores_csv(scores_path)
-    return motion.normalize(motion.smooth(raw, motion.DEFAULT_SMOOTH_WINDOW))
+    curve = motion.normalize(motion.smooth(raw, motion.DEFAULT_SMOOTH_WINDOW))
+    return curve, motion.detect_extrema(curve)
 
 
 def cmd_score(args) -> int:
@@ -33,8 +35,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_select(args) -> int:
-    curve = _prepare_curve(args.scores)
-    extrema = motion.detect_extrema(curve)
+    curve, extrema = _prepare_curve(args.scores)
     params = selection.SelectionParams(
         target_count=args.k,
         mode=selection.MODE_SEEDED_RANDOM if args.random else selection.MODE_BY_PROMINENCE,
@@ -75,8 +76,7 @@ def cmd_eval_ap(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    curve = _prepare_curve(args.scores)
-    extrema = motion.detect_extrema(curve)
+    curve, extrema = _prepare_curve(args.scores)
     sched = ingest.read_schedule_json(args.schedule) if args.schedule else None
     spec = PlotSpec(width=args.width, height=args.height, curve=curve,
                     extrema=extrema, schedule=sched)

@@ -102,8 +102,8 @@ def as_index(value, name: str, lo: int | None = 0, hi: int | None = None) -> int
 def as_floats(value, name: str, ndim: int = 0, lo: float = -np.inf, hi: float = np.inf):
     """The one real rule: a non-empty ``ndim``-D float64 array (0-D for a scalar, float64 input
     not copied) of Python or NumPy ints or floats, all finite and in ``[lo, hi]``; anything else,
-    ``bool`` and ragged nesting too, raises InvariantViolationError. Exempt: kernel operands
-    (``as_feature_matrix``, ``ConditionLayout.features``) and ``match_keypoints``' threshold."""
+    ``bool`` and ragged nesting too, raises InvariantViolationError. Exempt: the kernel operands,
+    which take ``as_real_array``, and ``match_keypoints``' threshold."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
@@ -114,6 +114,19 @@ def as_floats(value, name: str, ndim: int = 0, lo: float = -np.inf, hi: float = 
     low, high = arr.min(), arr.max()
     if not (lo <= low and high <= hi and np.isfinite(low) and np.isfinite(high)):
         raise InvariantViolationError(f"{name} must be finite and lie in [{lo}, {hi}]")
+    return arr
+
+
+def as_real_array(value, name: str) -> np.ndarray:
+    """The rule of the kernel operands (``as_feature_matrix``, ``ConditionLayout``): ``value`` as an
+    array of bool, integer or float dtype, neither cast nor read for finiteness; ragged nesting,
+    strings, objects and complex values raise InvariantViolationError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise InvariantViolationError(f"{name}: {exc}") from exc
+    if arr.dtype.kind not in "biuf":
+        raise InvariantViolationError(f"{name} must hold real numbers, got dtype {arr.dtype}")
     return arr
 
 

@@ -40,29 +40,30 @@ PIPELINE_SAMPLE_RATE = 16000
 class Frame:
     """Single grayscale frame; pixels are row-major luminance in [0, 1]."""
 
-    height: int
-    width: int
     pixels: np.ndarray
 
     def __post_init__(self):
-        self.height = as_index(self.height, "height", lo=1)
-        self.width = as_index(self.width, "width", lo=1)
         self.pixels = as_floats(self.pixels, "pixels", 2, 0.0, 1.0)
-        if self.pixels.shape != (self.height, self.width):
-            raise InvariantViolationError(
-                f"pixel array {self.pixels.shape} does not match {self.height}x{self.width}"
-            )
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
 
 
 @dataclass
 class FrameSequence:
-    """Ordered frames of identical dimensions."""
+    """Ordered frames of identical dimensions, with their shared ``height`` and ``width``."""
 
     frames: list[Frame]
 
     def __post_init__(self):
         if not self.frames:
             raise InvariantViolationError("frame sequence must contain at least one frame")
+        self.height, self.width = self.frames[0].height, self.frames[0].width
         for i, f in enumerate(self.frames):
             _check_size(i, (f.height, f.width), (self.height, self.width))
 
@@ -71,14 +72,6 @@ class FrameSequence:
 
     def __iter__(self) -> Iterator[Frame]:
         return iter(self.frames)
-
-    @property
-    def height(self) -> int:
-        return self.frames[0].height
-
-    @property
-    def width(self) -> int:
-        return self.frames[0].width
 
 
 @dataclass
@@ -137,7 +130,7 @@ def read_pgm(path: str | Path) -> Frame:
     height, width, offset = _pgm_layout(path, data)
     raster = np.frombuffer(data, dtype=np.uint8, count=height * width, offset=offset)
     pixels = raster.astype(np.float64) / 255.0
-    return Frame(height=height, width=width, pixels=pixels.reshape(height, width))
+    return Frame(pixels.reshape(height, width))
 
 
 def _check_size(index: int, size: tuple[int, int], expected: tuple[int, int]) -> None:
@@ -346,8 +339,6 @@ def _fixed_rows(x: np.ndarray, col_d: np.ndarray, end: str) -> str:
 # --- scores CSV ---
 
 CSV_HEADER = "index,score"
-# ASCII separators a scores CSV may not hold
-_SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
 
 def scores_csv_text(curve: MotionCurve) -> str:
@@ -419,36 +410,24 @@ def _fixed_point_rows(body: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 def read_scores_csv(path: str | Path) -> MotionCurve:
     """Read a scores CSV back into a raw-stage MotionCurve.
 
-    A body in the layout ``scores_csv_text`` writes is read by
-    ``_fixed_point_rows``; any other body goes through ``np.loadtxt``.
+    A file in the layout ``scores_csv_text`` writes is read from its bytes
+    by ``_fixed_point_rows``. Any other file is read again as ASCII text,
+    with text mode's line ends, and its body goes through ``np.loadtxt``.
     """
-    data = Path(path).read_bytes()
-    if not data.isascii():
-        try:
-            data.decode("ascii")
-        except UnicodeDecodeError as exc:  # names the first non-ASCII byte
-            raise ParseError(f"{path}: {exc}") from exc
-    if b"\r" in data:  # the line ends a text-mode read turns into \n
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    header, _, body = data.partition(b"\n")
-    del data  # the body is the one copy of the file kept
-    if header != CSV_HEADER.encode():
-        raise ParseError(f"{path}: first line is not the '{CSV_HEADER}' header")
-    # NumPy's number parsers skip the ASCII separators \x1c-\x1f as
-    # whitespace; int() and float() do not, and neither does this format
-    control = any(sep in body for sep in _SEPARATORS)
-    # blank as str.isspace sees it, which counts those separators as
-    # whitespace where bytes.isspace does not; no copy unless one is present
-    rest = body.translate(None, _SEPARATORS) if control else body
-    if not rest or rest.isspace():
-        raise ParseError(f"{path}: no score rows")
-    if control:
-        raise ParseError(f"{path}: control byte in a score row")
-    columns = _fixed_point_rows(body)
+    header, _, body = Path(path).read_bytes().partition(b"\n")
+    columns = _fixed_point_rows(body) if header == CSV_HEADER.encode() else None
     if columns is None:
+        header, _, body = _read_text(path, "ascii").partition("\n")
+        if header != CSV_HEADER:
+            raise ParseError(f"{path}: first line is not the '{CSV_HEADER}' header")
+        if not body or body.isspace():  # what strip() would empty, without copying the body
+            raise ParseError(f"{path}: no score rows")
+        # NumPy's number parsers skip the ASCII separators \x1c-\x1f as
+        # whitespace; int() and float() do not, and neither does this format
+        if any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+            raise ParseError(f"{path}: control byte in a score row")
         try:
-            rows = np.loadtxt(io.StringIO(body.decode("ascii")), delimiter=",",
-                              comments=None, ndmin=1,
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
                               dtype=[("index", np.int64), ("score", np.float64)])
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc

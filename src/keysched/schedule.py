@@ -22,6 +22,7 @@ from .errors import (
     OddDimError,
     ShapeMismatchError,
     as_index,
+    as_real_array,
 )
 from .selection import KeyframeSchedule
 
@@ -39,12 +40,15 @@ class ConditionLayout:
     features: np.ndarray
 
     def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=np.int64)
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.mask.ndim != 1:
+        mask = as_real_array(self.mask, "mask")
+        if mask.ndim != 1:
             raise InvariantViolationError("mask must be one-dimensional")
-        if not np.all((self.mask == 0) | (self.mask == 1)):
+        if not np.all((mask == 0) | (mask == 1)):  # before the cast, which would truncate 0.9
             raise InvariantViolationError("mask entries must be 0 or 1")
+        self.mask = mask.astype(np.int64, copy=False)
+        self.features = as_real_array(self.features, "features").astype(np.float64, copy=False)
+        if self.features.ndim != 2:
+            raise InvariantViolationError("features must be two-dimensional")
         if self.features.shape[0] != self.total_frames:
             raise InvariantViolationError("features must carry one row per frame")
         unmasked = self.features[self.mask == 0]

@@ -56,7 +56,7 @@ def moving_square_frames(count=16, height=32, width=48):
         img = np.full((height, width), 0.2)
         x0 = 4 + 2 * t
         img[10:20, x0:x0 + 8] = 0.9
-        frames.append(Frame(height=height, width=width, pixels=img))
+        frames.append(Frame(img))
     return FrameSequence(frames=frames)
 
 

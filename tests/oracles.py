@@ -300,7 +300,7 @@ def read_pgm_oracle(path: str | Path) -> Frame:
     if len(raster) != width * height:
         raise MalformedPgmError(f"{path}: raster truncated")
     pixels = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / 255.0
-    return Frame(height=height, width=width, pixels=pixels.reshape(height, width))
+    return Frame(pixels.reshape(height, width))
 
 
 def read_scores_csv_oracle(path: str | Path) -> MotionCurve:

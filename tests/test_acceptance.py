@@ -83,8 +83,8 @@ def test_criterion_05_peak_detection_oracle():
 def test_criterion_06_flow_sanity():
     start = time.perf_counter()
     base, right, _ = translated_texture(64, 64)
-    a = Frame(64, 64, base)
-    b = Frame(64, 64, right)
+    a = Frame(base)
+    b = Frame(right)
     field = estimate_flow(a, b, FlowParams())
     interior = (slice(4, -4), slice(4, -4))
     assert 0.75 <= field.u[interior].mean() <= 1.25

@@ -17,41 +17,37 @@ from oracles import (bilinear_sample_oracle, conv3_oracle, hs_energy_oracle,
                      solve_level_oracle, translated_texture)
 
 
-def as_frame(pixels):
-    return Frame(height=pixels.shape[0], width=pixels.shape[1], pixels=pixels)
-
-
 INTERIOR = (slice(4, -4), slice(4, -4))
 
 
 class TestEstimateFlow:
     def test_identical_frames_give_zero_flow(self):
         base, _, _ = translated_texture()
-        field = flow.estimate_flow(as_frame(base), as_frame(base))
+        field = flow.estimate_flow(Frame(base), Frame(base))
         assert np.max(np.abs(field.u)) <= 1e-6
         assert np.max(np.abs(field.v)) <= 1e-6
 
     def test_one_pixel_right_shift(self):
         base, right, _ = translated_texture()
-        field = flow.estimate_flow(as_frame(base), as_frame(right))
+        field = flow.estimate_flow(Frame(base), Frame(right))
         assert 0.75 <= field.u[INTERIOR].mean() <= 1.25
         assert np.abs(field.v[INTERIOR]).mean() < 0.25
 
     def test_one_pixel_down_shift(self):
         base, _, down = translated_texture()
-        field = flow.estimate_flow(as_frame(base), as_frame(down))
+        field = flow.estimate_flow(Frame(base), Frame(down))
         assert 0.75 <= field.v[INTERIOR].mean() <= 1.25
         assert np.abs(field.u[INTERIOR]).mean() < 0.25
 
     def test_dimension_mismatch(self):
         # both sizes are also too small for three levels; the mismatch wins
-        a = as_frame(np.zeros((16, 16)))
-        b = as_frame(np.zeros((16, 24)))
+        a = Frame(np.zeros((16, 16)))
+        b = Frame(np.zeros((16, 24)))
         with pytest.raises(errors.DimensionMismatchError):
             flow.estimate_flow(a, b, flow.FlowParams(pyramid_levels=3))
 
     def test_too_small_for_pyramid(self):
-        a = as_frame(np.zeros((16, 16)))
+        a = Frame(np.zeros((16, 16)))
         with pytest.raises(errors.TooSmallError):
             flow.estimate_flow(a, a, flow.FlowParams(pyramid_levels=3))
         # shallower pyramid fits
@@ -69,7 +65,7 @@ class TestEstimateFlow:
         for iters in range(1, 31):
             params = flow.FlowParams(iterations=iters, pyramid_levels=1,
                                      convergence_eps=0.0)
-            field = flow.estimate_flow(as_frame(base), as_frame(shifted), params)
+            field = flow.estimate_flow(Frame(base), Frame(shifted), params)
             energies.append(hs_energy_oracle(base, shifted, field.u, field.v, alpha_eff))
         for before, after in zip(energies, energies[1:]):
             assert after <= before + 1e-12 * max(1.0, abs(before))
@@ -243,13 +239,13 @@ class TestMotionScore:
 class TestMotionCurve:
     def test_two_identical_frames(self):
         img = translated_texture(height=32, width=32)[0]
-        seq = FrameSequence(frames=[as_frame(img), as_frame(img)])
+        seq = FrameSequence(frames=[Frame(img), Frame(img)])
         curve = flow.motion_curve(seq)
         assert np.array_equal(curve.values, np.zeros(2))
 
     def test_static_static_shifted(self):
         base, right, _ = translated_texture(height=32, width=32)
-        seq = FrameSequence(frames=[as_frame(base), as_frame(base), as_frame(right)])
+        seq = FrameSequence(frames=[Frame(base), Frame(base), Frame(right)])
         curve = flow.motion_curve(seq)
         assert curve.values[0] == pytest.approx(0.0, abs=1e-9)
         assert curve.values[1] > 0.0
@@ -260,7 +256,7 @@ class TestMotionCurve:
         assert len(curve) == len(synthetic_clip)
 
     def test_too_short(self):
-        seq = FrameSequence(frames=[as_frame(np.zeros((32, 32)))])
+        seq = FrameSequence(frames=[Frame(np.zeros((32, 32)))])
         with pytest.raises(errors.TooShortError):
             flow.motion_curve(seq)
 
@@ -302,7 +298,7 @@ class TestMotionCurve:
         microsecond: a lost update to the shared pair count would put a
         score at the wrong index or skip or repeat a pair."""
         rng = np.random.default_rng(200)
-        seq = FrameSequence(frames=[as_frame(rng.random((16, 16))) for _ in range(200)])
+        seq = FrameSequence(frames=[Frame(rng.random((16, 16))) for _ in range(200)])
         params = flow.FlowParams(iterations=2, pyramid_levels=2)
         want = [flow.motion_score(flow.estimate_flow(a, b, params))
                 for a, b in zip(seq.frames, seq.frames[1:])]
@@ -355,7 +351,7 @@ def sine_texture_clip(height, width, count, seed):
     for _ in range(count):
         img = 0.5 + sum(a * np.sin(2 * np.pi * (fx * (xx - x_off) + fy * (yy - y_off)) + p)
                         for (fx, fy), p, a in zip(freqs, phases, amps))
-        frames.append(as_frame(img))
+        frames.append(Frame(img))
         x_off += rng.uniform(-1.5, 1.5)
         y_off += rng.uniform(-1.5, 1.5)
     return FrameSequence(frames=frames)
@@ -371,7 +367,7 @@ def rolled_noise_clip(height, width, count, seed):
     frames = []
     dy = dx = 0
     for _ in range(count):
-        frames.append(as_frame(np.roll(base, (dy, dx), axis=(0, 1))))
+        frames.append(Frame(np.roll(base, (dy, dx), axis=(0, 1))))
         dy += int(rng.integers(-2, 3))
         dx += int(rng.integers(-2, 3))
     return FrameSequence(frames=frames)
@@ -380,7 +376,7 @@ def rolled_noise_clip(height, width, count, seed):
 def noise_clip(height, width, count, seed):
     """Independent uniform noise frames: no coherent motion at all."""
     rng = np.random.default_rng(seed)
-    return FrameSequence(frames=[as_frame(rng.random((height, width)))
+    return FrameSequence(frames=[Frame(rng.random((height, width)))
                                  for _ in range(count)])
 
 
@@ -452,7 +448,7 @@ class TestStreamedFrames:
         between 100 and 400 frames."""
         src = Path(ingest.__file__).resolve().parents[1]
         raster = np.random.default_rng(0).integers(0, 256, (128, 128), dtype=np.uint8)
-        frame = Frame(128, 128, raster / 255.0)
+        frame = Frame(raster / 255.0)
         env = {**os.environ, "PYTHONPATH": str(src)}
         peaks, written = [], 0
         for count in (100, 400):
@@ -464,6 +460,14 @@ class TestStreamedFrames:
                                   check=True)
             peaks.append(int(proc.stdout))
         assert abs(peaks[1] - peaks[0]) <= 2 * 2 ** 20, peaks
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    """Where the OS has no affinity call, the CPU count (or 1) bounds the solvers."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert flow._usable_cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert flow._usable_cpus() == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")

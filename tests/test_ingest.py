@@ -2,6 +2,7 @@ import pickle
 import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ class TestReadPgm:
 
     def test_write_read_roundtrip(self, tmp_path):
         pixels = np.linspace(0, 1, 30).reshape(5, 6)
-        frame = ingest.Frame(5, 6, np.rint(pixels * 255) / 255)
+        frame = ingest.Frame(np.rint(pixels * 255) / 255)
         write_pgm(frame, tmp_path / "rt.pgm")
         back = ingest.read_pgm(tmp_path / "rt.pgm")
         assert np.array_equal(back.pixels, frame.pixels)
@@ -307,6 +308,23 @@ class TestScoresCsv:
         monkeypatch.setattr(np, "loadtxt", refuse)
         back = ingest.read_scores_csv(path)
         assert back.values.tobytes() == read_scores_csv_oracle(path).values.tobytes()
+
+    def test_written_file_is_read_from_its_bytes_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.csv"
+        ingest.write_scores_csv(MotionCurve([0.0, 0.5, 1.25]), path)
+        reads, read_bytes = [], Path.read_bytes
+
+        def counted(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file in the writer's layout was read again as text")
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        monkeypatch.setattr(ingest, "_read_text", refuse)
+        assert ingest.read_scores_csv(path).values.tolist() == [0.0, 0.5, 1.25]
+        assert reads == [path]
 
     @settings(max_examples=50, deadline=None)
     @given(values=st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
@@ -560,6 +578,11 @@ class TestReadersFuzz:
     @example(data=b"index,score\n \n\n")
     @example(data=b"index,score\n0,\x1c0.5\n")
     @example(data=b"index,score\n0,0.5\n1")  # digits after the last newline
+    # the writer's layout, then a byte that sends the file to the text path
+    @example(data=b"index,score\n0,0.250000000\n1,17.125000000\n\xff")
+    @example(data=b"index,score\n0,0.250000000\n1,17.125000000\n\x1c")
+    @example(data=b"index,score\n0,0.250000000\n1,17.125000000\n\r")
+    @example(data=b"index,\xffscore\n0,0.250000000\n")
     def test_read_scores_csv(self, data, tmp_path_factory):
         self.check_against(read_scores_csv_oracle, ingest.read_scores_csv, data,
                            lambda d: b"_" in d or d[:1] in (b"\n", b"\r"),

@@ -127,6 +127,13 @@ class TestLayoutSerialization:
         assert d["features"] == [[1.0], [0.0], [2.0], [0.0]]
         assert d["total_frames"] == 4
 
+    @pytest.mark.parametrize("mask", [[True, False], [1.0, 0.0], np.array([1, 0], np.uint8)],
+                             ids=["bool", "float", "uint8"])
+    def test_real_zero_one_masks_load_as_int64(self, mask):
+        layout = schedule.ConditionLayout(mask, [[2.0], [0.0]])
+        assert layout.mask.dtype == np.int64
+        assert layout.to_dict()["mask"] == [1, 0]
+
 
 class TestFrameIndexEmbedding:
     def test_index_zero(self):

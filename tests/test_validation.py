@@ -74,8 +74,6 @@ INDEX_SITES = {
     "FlowParams.pyramid_levels": (lambda v: flow.FlowParams(pyramid_levels=v), 3),
     "PlotSpec.width": (lambda v: plot.render_plot(plot.PlotSpec(v, 60, NORM, Extrema())), 60),
     "PlotSpec.height": (lambda v: plot.render_plot(plot.PlotSpec(60, v, NORM, Extrema())), 60),
-    "Frame.height": (lambda v: ingest.Frame(v, 3, np.zeros((3, 3))), 3),
-    "Frame.width": (lambda v: ingest.Frame(3, v, np.zeros((3, 3))), 3),
     "AudioClip.sample_rate": (lambda v: ingest.AudioClip(np.zeros(4), v), 16000),
 }
 
@@ -104,12 +102,11 @@ def test_index_rule(site, value):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: ingest.Frame(2.0, 3, np.zeros((2, 3))),
-    lambda: ingest.Frame(0, 3, np.zeros((0, 3))),
+    lambda: ingest.Frame(np.zeros((0, 3))),
     lambda: ingest.AudioClip(np.zeros(500), sample_rate=16000.0),
     lambda: ingest.AudioClip(np.zeros(500), sample_rate="x"),
     lambda: ingest.AudioClip(np.zeros(500), sample_rate=0),
-], ids=["height-2.0", "height-0", "rate-16000.0", "rate-str", "rate-0"])
+], ids=["height-0", "rate-16000.0", "rate-str", "rate-0"])
 def test_sizes_and_rates_are_positive_integers(make):
     with pytest.raises(errors.InvariantViolationError) as info:
         make()
@@ -126,7 +123,7 @@ def test_as_index_bounds():
 
 # entry point -> (call with the value under test, its shape, a value out of its bounds or None)
 FLOAT_SITES = {
-    "Frame.pixels": (lambda a: ingest.Frame(len(a), 2, a), (1, 2), 1.5),
+    "Frame.pixels": (lambda a: ingest.Frame(a), (1, 2), 1.5),
     "AudioClip.samples": (lambda a: ingest.AudioClip(a), (2,), -1.5),
     "MotionCurve.values": (lambda a: MotionCurve(a), (2,), -0.5),
     "MotionCurve.values.normalized": (lambda a: MotionCurve(a, stage="normalized"), (2,), 1.5),
@@ -219,8 +216,8 @@ def read_zero_width_pgm():
 
 def flow_on_nan_frame():
     # the NaN frame is refused when it is built; a NaN once reached the solver's warp
-    still = ingest.Frame(32, 32, np.zeros((32, 32)))
-    flow.estimate_flow(ingest.Frame(32, 32, np.full((32, 32), np.nan)), still)
+    still = ingest.Frame(np.zeros((32, 32)))
+    flow.estimate_flow(ingest.Frame(np.full((32, 32), np.nan)), still)
 
 
 def fuse_with_mismatched_query():
@@ -238,9 +235,7 @@ def layout(mask, features):
 
 # validation branch -> (call that reaches it, the error it raises)
 VALIDATION = {
-    "Frame.shape": (lambda: ingest.Frame(2, 3, np.zeros((3, 2))),
-                    errors.InvariantViolationError),
-    "Frame.pixel_range": (lambda: ingest.Frame(1, 2, [[0.5, 1.5]]),
+    "Frame.pixel_range": (lambda: ingest.Frame([[0.5, 1.5]]),
                           errors.InvariantViolationError),
     "FrameSequence.empty": (lambda: ingest.FrameSequence([]), errors.InvariantViolationError),
     "AudioClip.shape": (lambda: ingest.AudioClip(np.zeros((2, 2))),
@@ -274,6 +269,18 @@ VALIDATION = {
                               errors.InvariantViolationError),
     "as_feature_matrix.shape": (lambda: audiofeat.as_feature_matrix(np.ones(3)),
                                 errors.ShapeMismatchError),
+    "as_feature_matrix.str": (lambda: audiofeat.as_feature_matrix([["a", "b"]]),
+                              errors.InvariantViolationError),
+    "as_feature_matrix.numeric_str": (lambda: audiofeat.as_feature_matrix([[1.0, "2"]]),
+                                      errors.InvariantViolationError),
+    "as_feature_matrix.ragged": (lambda: audiofeat.as_feature_matrix([[1.0], [1.0, 2.0]]),
+                                 errors.InvariantViolationError),
+    "as_feature_matrix.object": (lambda: audiofeat.as_feature_matrix([[object()]]),
+                                 errors.InvariantViolationError),
+    "as_feature_matrix.none": (lambda: audiofeat.as_feature_matrix([[None]]),
+                               errors.InvariantViolationError),
+    "as_feature_matrix.complex": (lambda: audiofeat.as_feature_matrix(np.ones((2, 2), complex)),
+                                  errors.InvariantViolationError),
     "ConditionLayout.mask_ndim": (lambda: layout([[1], [1], [1]], np.ones((3, 2))),
                                   errors.InvariantViolationError),
     "ConditionLayout.mask_values": (lambda: layout([1, 2, 1], np.ones((3, 2))),
@@ -282,6 +289,25 @@ VALIDATION = {
                                      errors.InvariantViolationError),
     "ConditionLayout.unmasked_rows": (lambda: layout([1, 0, 1], np.ones((3, 2))),
                                       errors.InvariantViolationError),
+    # the mask is checked before its int64 cast, which would turn 0.9 into 0
+    "ConditionLayout.mask_fraction": (lambda: schedule.ConditionLayout([0.9, 1], np.zeros((2, 1))),
+                                      errors.InvariantViolationError),
+    "ConditionLayout.mask_nan": (lambda: schedule.ConditionLayout([np.nan, 1], np.zeros((2, 1))),
+                                 errors.InvariantViolationError),
+    "ConditionLayout.mask_str": (lambda: schedule.ConditionLayout(["1", "0"], np.zeros((2, 1))),
+                                 errors.InvariantViolationError),
+    "ConditionLayout.mask_ragged":
+        (lambda: schedule.ConditionLayout([[1], [1, 0]], np.zeros((2, 1))),
+         errors.InvariantViolationError),
+    "ConditionLayout.features_0d": (lambda: schedule.ConditionLayout([1], 0.5),
+                                    errors.InvariantViolationError),
+    "ConditionLayout.features_1d": (lambda: schedule.ConditionLayout([1, 1], [0.5, 0.5]),
+                                    errors.InvariantViolationError),
+    "ConditionLayout.features_str": (lambda: schedule.ConditionLayout([1], [["a"]]),
+                                     errors.InvariantViolationError),
+    "ConditionLayout.features_ragged":
+        (lambda: schedule.ConditionLayout([1, 1], [[0.5], [0.5, 1.0]]),
+         errors.InvariantViolationError),
     "WindowPlan.geometry": (lambda: schedule.WindowPlan(6, 3, 4), errors.BadGeometryError),
     "GuidanceScales.finite": (lambda: refops.GuidanceScales(text=np.nan),
                               errors.InvariantViolationError),
