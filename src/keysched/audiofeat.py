@@ -35,6 +35,8 @@ HOP_SIZE = 160      # 10 ms
 FMAX = 8000.0
 TARGET_FRAMES = 196
 PATCH_KERNEL = 16
+# the samples the kept windows span (31 600); later samples never reach the mel
+FRAMED_SAMPLES = WINDOW_SIZE + (TARGET_FRAMES - 1) * HOP_SIZE
 
 
 @dataclass
@@ -101,9 +103,9 @@ def mel_spectrogram(clip: AudioClip) -> MelSpectrogram:
     """Log-mel spectrogram with the time axis fixed to 196 frames.
 
     Framing is left-aligned with no centering. Only the first
-    ``WINDOW_SIZE + (TARGET_FRAMES - 1) * HOP_SIZE`` (31 600) samples reach
-    a kept window, so only they are framed; a clip with fewer than 196
-    windows is zero-padded (silence) to the target frame count.
+    ``FRAMED_SAMPLES`` (31 600) samples reach a kept window, so only they
+    are framed; a clip with fewer than 196 windows is zero-padded (silence)
+    to the target frame count.
     """
     if clip.sample_rate != PIPELINE_SAMPLE_RATE:
         raise WrongSampleRateError(
@@ -111,7 +113,7 @@ def mel_spectrogram(clip: AudioClip) -> MelSpectrogram:
         )
     if clip.samples.size < WINDOW_SIZE:
         raise ClipTooShortError(f"need >= {WINDOW_SIZE} samples, got {clip.samples.size}")
-    samples = clip.samples[:WINDOW_SIZE + (TARGET_FRAMES - 1) * HOP_SIZE]
+    samples = clip.samples[:FRAMED_SAMPLES]
     n_frames = (samples.size - WINDOW_SIZE) // HOP_SIZE + 1
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SIZE) / WINDOW_SIZE)
     starts = np.arange(n_frames) * HOP_SIZE

@@ -47,7 +47,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_spectrogram(args) -> int:
-    clip = ingest.load_wav(args.wav)
+    # later samples never reach the mel, so they are not read
+    clip = ingest.load_wav(args.wav, max_samples=audiofeat.FRAMED_SAMPLES)
     spec = audiofeat.mel_spectrogram(clip)
     _atomic_write_text(args.out, audiofeat.mel_csv_text(spec))
     return 0

@@ -63,9 +63,11 @@ class FrameSequence:
     def __post_init__(self):
         if not self.frames:
             raise InvariantViolationError("frame sequence must contain at least one frame")
-        self.height, self.width = self.frames[0].height, self.frames[0].width
         for i, f in enumerate(self.frames):
-            _check_size(i, (f.height, f.width), (self.height, self.width))
+            if not isinstance(f, Frame):
+                raise InvariantViolationError(f"frame {i} is a {type(f).__name__}, not a Frame")
+            _check_size(i, (f.height, f.width), (self.frames[0].height, self.frames[0].width))
+        self.height, self.width = self.frames[0].height, self.frames[0].width
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -178,39 +180,53 @@ def load_frame_sequence(directory: str | Path) -> FrameSequence:
 
 # --- WAV ---
 
-def load_wav(path: str | Path) -> AudioClip:
+def load_wav(path: str | Path, max_samples: int | None = None) -> AudioClip:
     """Parse a RIFF/WAVE PCM16 mono file; samples map to value/32768.
 
-    Any positive sample rate loads as read; ``audiofeat.mel_spectrogram`` is
-    the one place that requires 16 kHz.
+    The chunks are walked by seeking: only the RIFF header, each chunk
+    header and the ``fmt `` body are read, then the samples of the last
+    ``data`` chunk, at most ``max_samples`` (>= 1) of them when it is given.
+    A chunk that claims more bytes than the file holds is cut to the file,
+    and an odd trailing byte is dropped. Any positive sample rate loads as
+    read; ``audiofeat.mel_spectrogram`` is the one place that requires 16 kHz.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise UnsupportedEncodingError(f"{path}: not a RIFF/WAVE file")
-    pos = 12
-    fmt = None
-    payload = None
-    while pos + 8 <= len(data):
-        chunk_id = data[pos:pos + 4]
-        (size,) = struct.unpack("<I", data[pos + 4:pos + 8])
-        body = data[pos + 8:pos + 8 + size]
-        if chunk_id == b"fmt ":
-            if len(body) < 16:
-                raise UnsupportedEncodingError(f"{path}: short fmt chunk")
-            fmt = struct.unpack("<HHIIHH", body[:16])
-        elif chunk_id == b"data":
-            payload = body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
-    if fmt is None or payload is None:
-        raise UnsupportedEncodingError(f"{path}: missing fmt or data chunk")
-    audio_format, channels, rate, _, _, bits = fmt
-    if audio_format != 1 or bits != 16:
-        raise UnsupportedEncodingError(f"{path}: need PCM16, got format {audio_format}/{bits}-bit")
-    if channels != 1:
-        raise UnsupportedChannelsError(f"{path}: need mono, got {channels} channels")
-    raw = np.frombuffer(payload[:len(payload) - (len(payload) % 2)], dtype="<i2")
-    if raw.size < 1:
-        raise UnsupportedEncodingError(f"{path}: empty data chunk")
+    if max_samples is not None:
+        max_samples = as_index(max_samples, "max_samples", lo=1)
+    with open(path, "rb") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise UnsupportedEncodingError(f"{path}: not a RIFF/WAVE file")
+        pos = 12
+        fmt = None
+        payload = None  # (file offset, whole samples) of the last data chunk
+        while pos + 8 <= end:
+            fh.seek(pos)
+            chunk_id, size = struct.unpack("<4sI", fh.read(8))
+            length = min(size, end - pos - 8)
+            if chunk_id == b"fmt ":
+                if length < 16:
+                    raise UnsupportedEncodingError(f"{path}: short fmt chunk")
+                fmt = struct.unpack("<HHIIHH", fh.read(16))
+            elif chunk_id == b"data":
+                payload = pos + 8, length // 2
+            pos += 8 + size + (size & 1)  # chunks are word-aligned
+        if fmt is None or payload is None:
+            raise UnsupportedEncodingError(f"{path}: missing fmt or data chunk")
+        audio_format, channels, rate, _, _, bits = fmt
+        if audio_format != 1 or bits != 16:
+            raise UnsupportedEncodingError(
+                f"{path}: need PCM16, got format {audio_format}/{bits}-bit")
+        if channels != 1:
+            raise UnsupportedChannelsError(f"{path}: need mono, got {channels} channels")
+        offset, count = payload
+        if count < 1:
+            raise UnsupportedEncodingError(f"{path}: empty data chunk")
+        if max_samples is not None:
+            count = min(count, max_samples)
+        fh.seek(offset)
+        raw = np.frombuffer(fh.read(2 * count), dtype="<i2")
     return AudioClip(samples=raw.astype(np.float64) / 32768.0, sample_rate=rate)
 
 
@@ -271,7 +287,8 @@ def fixed_text(table, decimals, end: str = "\n") -> str:
     integer. Those ties, signed values (-0.0 too), non-finite values and
     ``y >= 2**52`` go through ``format`` one by one. Every other value is cut
     into digit columns of one character matrix, from which one boolean mask
-    drops the leading zeros.
+    drops the leading zeros and unused places; a block with one integer
+    digit and one d >= 1 in every column has none, so it needs no mask.
 
     The rows are formatted in blocks of at most ``FIXED_BLOCK_ROWS``, so the
     temporaries stay small enough for the heap to reuse from block to block
@@ -302,13 +319,6 @@ def _fixed_rows(x: np.ndarray, col_d: np.ndarray, end: str) -> str:
     wi = len(str(whole.max()))
     # per value: wi integer digits, the point, dmax fraction digits, a comma
     chars = np.empty((rows, cols, wi + dmax + 2), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    for k in range(wi - 1):
-        np.greater_equal(whole, 10 ** (wi - 1 - k), out=keep[:, :, k])
-    # no point where d is 0, and no fraction places past a column's d
-    keep[:, col_d == 0, wi] = False
-    for k in range(dmax):
-        keep[:, col_d <= k, wi + 1 + k] = False
 
     def put_digits(value, start, stop):
         # in the narrowest dtype that holds it, where dividing by 10 is cheapest
@@ -324,13 +334,24 @@ def _fixed_rows(x: np.ndarray, col_d: np.ndarray, end: str) -> str:
     chars[:, :, -1] = ord(",")
     chars[:, -1, -1] = ord(end)
     slow = ~fast
-    if not slow.any():
-        return chars[keep].tobytes().decode("ascii")
+    any_slow = slow.any()
+    # one integer digit and one d >= 1 everywhere: no byte to drop
+    if wi == 1 and np.ndim(d) == 0 and d > 0 and not any_slow:
+        return str(chars, "ascii")
+    keep = np.ones(chars.shape, dtype=bool)
+    for k in range(wi - 1):
+        np.greater_equal(whole, 10 ** (wi - 1 - k), out=keep[:, :, k])
+    # no point where d is 0, and no fraction places past a column's d
+    keep[:, col_d == 0, wi] = False
+    for k in range(dmax):
+        keep[:, col_d <= k, wi + 1 + k] = False
+    if not any_slow:
+        return str(chars[keep], "ascii")
     # each slow value leaves one NUL byte, where its format() text goes
     keep[slow, :-1] = False
     keep[slow, 0] = True
     chars[slow, 0] = 0
-    parts = chars[keep].tobytes().decode("ascii").split("\0")
+    parts = str(chars[keep], "ascii").split("\0")
     exact = [format(v, f".{p}f") for v, p in
              zip(x[slow].tolist(), np.broadcast_to(col_d, x.shape)[slow].tolist())]
     return parts[0] + "".join(s + p for s, p in zip(exact, parts[1:]))
@@ -412,7 +433,9 @@ def read_scores_csv(path: str | Path) -> MotionCurve:
 
     A file in the layout ``scores_csv_text`` writes is read from its bytes
     by ``_fixed_point_rows``. Any other file is read again as ASCII text,
-    with text mode's line ends, and its body goes through ``np.loadtxt``.
+    with text mode's line ends; a body then in that layout (a CRLF copy, say)
+    still goes through ``_fixed_point_rows``, and any other through
+    ``np.loadtxt``.
     """
     header, _, body = Path(path).read_bytes().partition(b"\n")
     columns = _fixed_point_rows(body) if header == CSV_HEADER.encode() else None
@@ -420,6 +443,8 @@ def read_scores_csv(path: str | Path) -> MotionCurve:
         header, _, body = _read_text(path, "ascii").partition("\n")
         if header != CSV_HEADER:
             raise ParseError(f"{path}: first line is not the '{CSV_HEADER}' header")
+        columns = _fixed_point_rows(body.encode("ascii"))
+    if columns is None:
         if not body or body.isspace():  # what strip() would empty, without copying the body
             raise ParseError(f"{path}: no score rows")
         # NumPy's number parsers skip the ASCII separators \x1c-\x1f as

@@ -41,14 +41,14 @@ class ConditionLayout:
 
     def __post_init__(self):
         mask = as_real_array(self.mask, "mask")
-        if mask.ndim != 1:
-            raise InvariantViolationError("mask must be one-dimensional")
+        if mask.ndim != 1 or mask.size == 0:
+            raise InvariantViolationError("mask must be a non-empty 1-D array")
         if not np.all((mask == 0) | (mask == 1)):  # before the cast, which would truncate 0.9
             raise InvariantViolationError("mask entries must be 0 or 1")
         self.mask = mask.astype(np.int64, copy=False)
         self.features = as_real_array(self.features, "features").astype(np.float64, copy=False)
-        if self.features.ndim != 2:
-            raise InvariantViolationError("features must be two-dimensional")
+        if self.features.ndim != 2 or self.features.shape[1] == 0:
+            raise InvariantViolationError("features must be a 2-D array at least one column wide")
         if self.features.shape[0] != self.total_frames:
             raise InvariantViolationError("features must carry one row per frame")
         unmasked = self.features[self.mask == 0]

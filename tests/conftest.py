@@ -37,16 +37,20 @@ def make_pgm_bytes(width, height, payload, maxval=255, magic=b"P5"):
     return header + payload
 
 
+def make_wav_bytes(samples, rate=16000, channels=1, bits=16, audio_format=1) -> bytes:
+    """A RIFF/WAVE file holding the int16 ``samples``; the fmt fields are as given."""
+    body = np.asarray(samples, dtype="<i2").tobytes()
+    out = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
+    out += b"fmt " + struct.pack("<IHHIIHH", 16, audio_format, channels, rate,
+                                 rate * channels * bits // 8, channels * bits // 8, bits)
+    out += b"data" + struct.pack("<I", len(body)) + body
+    return out
+
+
 def write_wav(clip: AudioClip, path) -> None:
     """Write a clip as RIFF/WAVE PCM16 mono."""
     pcm = np.clip(np.rint(clip.samples * 32768.0), -32768, 32767).astype("<i2")
-    body = pcm.tobytes()
-    header = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, 1, 1, clip.sample_rate, clip.sample_rate * 2, 2, 16
-    )
-    header += b"data" + struct.pack("<I", len(body))
-    Path(path).write_bytes(header + body)
+    Path(path).write_bytes(make_wav_bytes(pcm, clip.sample_rate))
 
 
 def moving_square_frames(count=16, height=32, width=48):

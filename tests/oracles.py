@@ -6,12 +6,18 @@ code paths it verifies.
 """
 
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 
-from keysched.errors import MalformedPgmError, ParseError
-from keysched.ingest import CSV_HEADER, Frame, _read_text
+from keysched.errors import (
+    MalformedPgmError,
+    ParseError,
+    UnsupportedChannelsError,
+    UnsupportedEncodingError,
+)
+from keysched.ingest import CSV_HEADER, AudioClip, Frame, _read_text
 from keysched.motion import STAGE_RAW, MotionCurve
 
 
@@ -325,3 +331,38 @@ def read_scores_csv_oracle(path: str | Path) -> MotionCurve:
     if not values:
         raise ParseError(f"{path}: no score rows")
     return MotionCurve(np.array(values), stage=STAGE_RAW)
+
+
+# The whole-file WAV reader that ingest.load_wav's seeking walk replaced,
+# kept verbatim: every chunk is sliced out of the file's bytes in memory.
+# load_wav must return the same clip, or raise the same error and message.
+def load_wav_oracle(path: str | Path) -> AudioClip:
+    """Parse a RIFF/WAVE PCM16 mono file; samples map to value/32768."""
+    data = Path(path).read_bytes()
+    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+        raise UnsupportedEncodingError(f"{path}: not a RIFF/WAVE file")
+    pos = 12
+    fmt = None
+    payload = None
+    while pos + 8 <= len(data):
+        chunk_id = data[pos:pos + 4]
+        (size,) = struct.unpack("<I", data[pos + 4:pos + 8])
+        body = data[pos + 8:pos + 8 + size]
+        if chunk_id == b"fmt ":
+            if len(body) < 16:
+                raise UnsupportedEncodingError(f"{path}: short fmt chunk")
+            fmt = struct.unpack("<HHIIHH", body[:16])
+        elif chunk_id == b"data":
+            payload = body
+        pos += 8 + size + (size & 1)  # chunks are word-aligned
+    if fmt is None or payload is None:
+        raise UnsupportedEncodingError(f"{path}: missing fmt or data chunk")
+    audio_format, channels, rate, _, _, bits = fmt
+    if audio_format != 1 or bits != 16:
+        raise UnsupportedEncodingError(f"{path}: need PCM16, got format {audio_format}/{bits}-bit")
+    if channels != 1:
+        raise UnsupportedChannelsError(f"{path}: need mono, got {channels} channels")
+    raw = np.frombuffer(payload[:len(payload) - (len(payload) % 2)], dtype="<i2")
+    if raw.size < 1:
+        raise UnsupportedEncodingError(f"{path}: empty data chunk")
+    return AudioClip(samples=raw.astype(np.float64) / 32768.0, sample_rate=rate)

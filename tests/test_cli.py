@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_pgm_bytes, write_wav
+from conftest import make_pgm_bytes, make_wav_bytes, write_wav
 from keysched import audiofeat, cli, errors, flow, ingest, motion, schedule, selection
 from keysched.cli import main
 from keysched.motion import MotionCurve
@@ -200,6 +200,48 @@ class TestSpectrogramCommand:
         out = tmp_path / "mel.csv"
         assert run(["spectrogram", "--wav", wav, "--out", out]) == 5
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_samples", [audiofeat.FRAMED_SAMPLES - 1,
+                                           audiofeat.FRAMED_SAMPLES + 1, 96_000])
+    def test_framed_prefix_read_matches_whole_clip(self, n_samples, tmp_path):
+        """The command reads only the framed samples; its CSV is the one the
+        whole clip gives."""
+        wav = tmp_path / "noise.wav"
+        rng = np.random.default_rng(n_samples)
+        write_wav(ingest.AudioClip(samples=rng.uniform(-0.5, 0.5, n_samples)), wav)
+        out = tmp_path / "mel.csv"
+        assert run(["spectrogram", "--wav", wav, "--out", out]) == 0
+        whole = audiofeat.mel_spectrogram(ingest.load_wav(wav))
+        assert out.read_text() == audiofeat.mel_csv_text(whole)
+
+    # the child's own peak RSS in bytes (VmHWM; ru_maxrss would also count
+    # the parent's peak, which exec carries over) after one spectrogram run
+    PEAK_RSS = (
+        "import sys\n"
+        "from keysched import cli\n"
+        "assert cli.main(['spectrogram', '--wav', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(int(line.split()[1]) * 1024 for line in fh\n"
+        "               if line.startswith('VmHWM:')))\n"
+    )
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc VmHWM")
+    def test_peak_memory_does_not_grow_with_clip_length(self, tmp_path):
+        """Reading the whole clip would hold 2 + 8 bytes per sample: about
+        86 MB more at 600 s than at 60 s, for the same 128 x 196 CSV."""
+        src = Path(ingest.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        rng = np.random.default_rng(0)
+        peaks = []
+        for seconds in (60, 600):
+            wav = tmp_path / f"{seconds}s.wav"
+            wav.write_bytes(make_wav_bytes(rng.integers(-8000, 8000, seconds * 16000)))
+            proc = subprocess.run([sys.executable, "-c", self.PEAK_RSS, str(wav),
+                                   str(tmp_path / "mel.csv")],
+                                  env=env, capture_output=True, text=True, timeout=60,
+                                  check=True)
+            peaks.append(int(proc.stdout))
+        assert abs(peaks[1] - peaks[0]) <= 2 * 2 ** 20, peaks
 
 
 class TestPatchesCommand:

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pgm_bytes, write_pgm, write_wav
+from conftest import make_pgm_bytes, make_wav_bytes, write_pgm, write_wav
 from keysched import errors, evaluate, ingest
 from keysched.motion import MotionCurve
 from keysched.selection import KeyframeSchedule
-from oracles import read_pgm_oracle, read_scores_csv_oracle
+from oracles import load_wav_oracle, read_pgm_oracle, read_scores_csv_oracle
 
 
 # header separators: whitespace bytes and '#' comments running to the end of the line
@@ -141,13 +141,20 @@ class TestFrameSource:
             next(frames)
 
 
-def make_wav_bytes(samples, rate=16000, channels=1, bits=16, audio_format=1):
-    body = b"".join(struct.pack("<h", s) for s in samples)
-    out = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
-    out += b"fmt " + struct.pack("<IHHIIHH", 16, audio_format, channels, rate,
-                                 rate * channels * bits // 8, channels * bits // 8, bits)
-    out += b"data" + struct.pack("<I", len(body)) + body
-    return out
+def wav_chunk(chunk_id, body, size=None):
+    """One RIFF chunk: id, size (``len(body)`` unless given), body and pad byte."""
+    size = len(body) if size is None else size
+    return chunk_id + struct.pack("<I", size) + body + b"\0" * (len(body) & 1)
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file holding the chunks in order."""
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+FMT_PCM16 = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+PCM5 = struct.pack("<5h", 0, 1000, -1000, 32767, -32768)
 
 
 class TestLoadWav:
@@ -309,6 +316,21 @@ class TestScoresCsv:
         back = ingest.read_scores_csv(path)
         assert back.values.tobytes() == read_scores_csv_oracle(path).values.tobytes()
 
+    def test_crlf_copy_of_written_file_is_read_without_loadtxt(self, tmp_path, monkeypatch):
+        """Text mode turns the copy's CRLF line ends back into the writer's layout."""
+        rng = np.random.default_rng(6)
+        curve = MotionCurve(rng.random(2000) * 10.0 ** rng.integers(0, 6, 2000))
+        path, copy = tmp_path / "w.csv", tmp_path / "crlf.csv"
+        ingest.write_scores_csv(curve, path)
+        copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        want = read_scores_csv_oracle(path).values.tobytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on a CRLF copy of the writer's layout")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        assert ingest.read_scores_csv(copy).values.tobytes() == want
+
     def test_written_file_is_read_from_its_bytes_once(self, tmp_path, monkeypatch):
         path = tmp_path / "w.csv"
         ingest.write_scores_csv(MotionCurve([0.0, 0.5, 1.25]), path)
@@ -353,6 +375,17 @@ FIXED_VALUES = st.one_of(
 )
 
 
+@st.composite
+def fixed_tables(draw):
+    """1-12 rows of 1-5 FIXED_VALUES, and one d for every column or one per column."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    table = draw(st.lists(st.lists(FIXED_VALUES, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    decimals = draw(st.one_of(st.sampled_from([0, 2, 9]),
+                              st.lists(st.sampled_from([0, 2, 9]), min_size=cols, max_size=cols)))
+    return table, decimals
+
+
 class TestFixedText:
     """``fixed_text`` against ``format(x, f".{d}f")``, value by value."""
 
@@ -382,14 +415,18 @@ class TestFixedText:
         assert ingest.fixed_text([[x]], d) == format(x, f".{d}f") + "\n"
 
     @settings(max_examples=150, deadline=None)
-    @given(rows=st.integers(1, 12), cols=st.integers(1, 5), data=st.data(),
-           end=st.sampled_from(["\n", " "]))
-    def test_table_matches_format(self, rows, cols, data, end):
-        table = data.draw(st.lists(st.lists(FIXED_VALUES, min_size=cols, max_size=cols),
-                                   min_size=rows, max_size=rows))
-        decimals = data.draw(st.one_of(st.sampled_from([0, 2, 9]),
-                                       st.lists(st.sampled_from([0, 2, 9]),
-                                                min_size=cols, max_size=cols)))
+    @given(case=fixed_tables(), end=st.sampled_from(["\n", " "]))
+    # one integer digit and one d >= 1 in every column: no byte dropped, no mask
+    @example(case=([[0.5, 9.25, 0.0], [1.0, 3.141592653589793, 9.999999999]], 9), end="\n")
+    @example(case=([[0.5, 9.25], [1.0, 0.0]], [2, 2]), end=" ")
+    # the same tables with one value of two integer digits, or one d of 0
+    @example(case=([[0.5, 9.25, 0.0], [10.0, 3.141592653589793, 9.999999999]], 9), end="\n")
+    @example(case=([[0.5, 9.25], [1.0, 0.0]], [2, 0]), end=" ")
+    # a tie at d = 2 sends an otherwise mask-free table down the slow path
+    @example(case=([[0.5, 0.125], [1.0, 0.0]], 2), end="\n")
+    def test_table_matches_format(self, case, end):
+        table, decimals = case
+        cols = len(table[0])
         places = np.broadcast_to(decimals, cols).tolist()
         want = "".join(",".join(format(v, f".{d}f") for v, d in zip(row, places)) + end
                        for row in table)
@@ -569,6 +606,40 @@ class TestReadersFuzz:
     @given(data=fuzzed(make_wav_bytes([0, 1000, -1000, 32767, -32768])))
     def test_load_wav(self, data, tmp_path_factory):
         self.check(ingest.load_wav, data, tmp_path_factory)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=fuzzed(make_wav_bytes([0, 1000, -1000, 32767, -32768])), n=st.integers(1, 8))
+    @example(data=riff(wav_chunk(b"LIST", b"INFOisft"), wav_chunk(b"fmt ", FMT_PCM16),
+                       wav_chunk(b"data", PCM5)), n=3)  # a chunk before fmt
+    @example(data=riff(wav_chunk(b"fmt ", FMT_PCM16), wav_chunk(b"data", PCM5),
+                       wav_chunk(b"data", PCM5[:4])), n=3)  # two data chunks: the last wins
+    @example(data=riff(wav_chunk(b"fmt ", FMT_PCM16), wav_chunk(b"junk", b"odd"),
+                       wav_chunk(b"data", PCM5[:7])), n=8)  # odd sizes: pad byte, odd data
+    @example(data=riff(wav_chunk(b"fmt ", FMT_PCM16), wav_chunk(b"data", PCM5, size=1000)),
+             n=8)  # a data size past the end of the file
+    @example(data=riff(wav_chunk(b"fmt ", FMT_PCM16), wav_chunk(b"data", PCM5, size=1000)),
+             n=2)
+    @example(data=riff(wav_chunk(b"fmt ", FMT_PCM16[:14]), wav_chunk(b"data", PCM5)),
+             n=1)  # a short fmt
+    @example(data=riff(wav_chunk(b"fmt ", FMT_PCM16[:10], size=16)), n=1)  # fmt cut by the end
+    def test_load_wav_prefix_matches_whole_read(self, data, n, tmp_path_factory):
+        """``load_wav`` returns the clip the whole-file reader returns, and with
+        ``max_samples=n`` that clip's first n samples; or both raise its error
+        class and message."""
+        path = tmp_path_factory.mktemp("fuzz") / "input.wav"
+        path.write_bytes(data)
+        try:
+            whole = load_wav_oracle(path)
+        except errors.KeyschedError as exc:
+            for limit in (None, n):
+                with pytest.raises(errors.KeyschedError) as raised:
+                    ingest.load_wav(path, max_samples=limit)
+                assert (raised.type, str(raised.value)) == (type(exc), str(exc))
+            return
+        assert pickle.dumps(ingest.load_wav(path)) == pickle.dumps(whole)
+        prefix = ingest.load_wav(path, max_samples=n)
+        assert prefix.sample_rate == whole.sample_rate
+        assert prefix.samples.tobytes() == whole.samples[:n].tobytes()
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.one_of(fuzzed(b"index,score\n0,0.25\n1,1e-3\n"),

@@ -238,9 +238,17 @@ VALIDATION = {
     "Frame.pixel_range": (lambda: ingest.Frame([[0.5, 1.5]]),
                           errors.InvariantViolationError),
     "FrameSequence.empty": (lambda: ingest.FrameSequence([]), errors.InvariantViolationError),
+    "FrameSequence.not_frame": (lambda: ingest.FrameSequence([np.zeros((4, 4))]),
+                                errors.InvariantViolationError),
+    "FrameSequence.later_not_frame":
+        (lambda: ingest.FrameSequence([ingest.Frame(np.zeros((4, 4))), np.zeros((4, 4))]),
+         errors.InvariantViolationError),
     "AudioClip.shape": (lambda: ingest.AudioClip(np.zeros((2, 2))),
                         errors.InvariantViolationError),
     "AudioClip.range": (lambda: ingest.AudioClip([0.0, -1.5]), errors.InvariantViolationError),
+    # checked before the file is opened
+    "load_wav.max_samples": (lambda: ingest.load_wav("unread.wav", max_samples=0),
+                             errors.InvariantViolationError),
     "read_pgm.zero_width": (read_zero_width_pgm, errors.MalformedPgmError),
     "MotionCurve.shape": (lambda: MotionCurve(np.zeros((2, 2))),
                           errors.InvariantViolationError),
@@ -305,6 +313,10 @@ VALIDATION = {
                                     errors.InvariantViolationError),
     "ConditionLayout.features_str": (lambda: schedule.ConditionLayout([1], [["a"]]),
                                      errors.InvariantViolationError),
+    "ConditionLayout.empty": (lambda: layout([], np.zeros((0, 2))),
+                              errors.InvariantViolationError),
+    "ConditionLayout.features_no_columns": (lambda: layout([1], np.zeros((1, 0))),
+                                            errors.InvariantViolationError),
     "ConditionLayout.features_ragged":
         (lambda: schedule.ConditionLayout([1, 1], [[0.5], [0.5, 1.0]]),
          errors.InvariantViolationError),
