@@ -273,13 +273,13 @@ def json_text(obj) -> str:
 FIXED_BLOCK_ROWS = 4096
 
 
-def fixed_text(table, decimals, end: str = "\n") -> str:
+def fixed_text(table, decimals: int, end: str = "\n") -> str:
     """Rows of a 2-D table as text, every value exactly ``format(x, f".{d}f")``.
 
-    ``decimals`` is one d for every column or one per column, from 0 to 18
-    so that 10**d is an exact float and the fraction digits fit an int64.
-    The values of a row are joined by commas and each row ends with ``end``,
-    a single ASCII character.
+    ``decimals`` is the one d of every value, from 1 to 18 so that 10**d is
+    an exact float and the fraction digits fit an int64. The values of a row
+    are joined by commas and each row ends with ``end``, a single ASCII
+    character.
 
     ``y = x * 10**d`` is the float nearest the exact product, and below
     2**52 every half-integer is a float, so none lies strictly between the
@@ -287,38 +287,31 @@ def fixed_text(table, decimals, end: str = "\n") -> str:
     integer. Those ties, signed values (-0.0 too), non-finite values and
     ``y >= 2**52`` go through ``format`` one by one. Every other value is cut
     into digit columns of one character matrix, from which one boolean mask
-    drops the leading zeros and unused places; a block with one integer
-    digit and one d >= 1 in every column has none, so it needs no mask.
+    drops the leading integer zeros; a block with one integer digit
+    everywhere has none, so it needs no mask.
 
     The rows are formatted in blocks of at most ``FIXED_BLOCK_ROWS``, so the
     temporaries stay small enough for the heap to reuse from block to block
     instead of each being mapped and faulted in afresh.
     """
+    d = as_index(decimals, "decimals", lo=1, hi=19)
     x = np.asarray(table, dtype=np.float64)
-    rows, cols = x.shape
-    places = decimals if np.ndim(decimals) else [decimals]
-    col_d = np.broadcast_to([as_index(v, "decimals", hi=19) for v in places], cols)
-    return "".join(_fixed_rows(x[i:i + FIXED_BLOCK_ROWS], col_d, end)
-                   for i in range(0, rows, FIXED_BLOCK_ROWS))
+    return "".join(_fixed_rows(x[i:i + FIXED_BLOCK_ROWS], d, end)
+                   for i in range(0, x.shape[0], FIXED_BLOCK_ROWS))
 
 
-def _fixed_rows(x: np.ndarray, col_d: np.ndarray, end: str) -> str:
-    """``fixed_text`` of one block of rows, with one d per column."""
+def _fixed_rows(x: np.ndarray, d: int, end: str) -> str:
+    """``fixed_text`` of one block of rows."""
     rows, cols = x.shape
-    dmax = int(col_d.max())
-    # a shared d stays a scalar, so NumPy's inner loops run over whole rows
-    d = dmax if col_d.min() == dmax else col_d
     with np.errstate(over="ignore", invalid="ignore"):
         y = x * 10.0 ** d
         fast = np.isfinite(y) & ~np.signbit(x) & (y < 2.0 ** 52)
         y[~fast] = 0.0
         fast &= y - np.floor(y) != 0.5
     whole, frac = np.divmod(np.rint(y).astype(np.int64), 10 ** d)
-    # each column's d fraction digits lead the dmax fraction places
-    frac *= 10 ** (dmax - d)
     wi = len(str(whole.max()))
-    # per value: wi integer digits, the point, dmax fraction digits, a comma
-    chars = np.empty((rows, cols, wi + dmax + 2), dtype=np.uint8)
+    # per value: wi integer digits, the point, d fraction digits, a comma
+    chars = np.empty((rows, cols, wi + d + 2), dtype=np.uint8)
 
     def put_digits(value, start, stop):
         # in the narrowest dtype that holds it, where dividing by 10 is cheapest
@@ -329,22 +322,17 @@ def _fixed_rows(x: np.ndarray, col_d: np.ndarray, end: str) -> str:
             np.add(digit, ord("0"), out=chars[:, :, k], casting="unsafe")
 
     put_digits(whole, 0, wi)
-    put_digits(frac, wi + 1, wi + 1 + dmax)
+    put_digits(frac, wi + 1, wi + 1 + d)
     chars[:, :, wi] = ord(".")
     chars[:, :, -1] = ord(",")
     chars[:, -1, -1] = ord(end)
     slow = ~fast
     any_slow = slow.any()
-    # one integer digit and one d >= 1 everywhere: no byte to drop
-    if wi == 1 and np.ndim(d) == 0 and d > 0 and not any_slow:
+    if wi == 1 and not any_slow:  # no leading zero to drop
         return str(chars, "ascii")
     keep = np.ones(chars.shape, dtype=bool)
     for k in range(wi - 1):
         np.greater_equal(whole, 10 ** (wi - 1 - k), out=keep[:, :, k])
-    # no point where d is 0, and no fraction places past a column's d
-    keep[:, col_d == 0, wi] = False
-    for k in range(dmax):
-        keep[:, col_d <= k, wi + 1 + k] = False
     if not any_slow:
         return str(chars[keep], "ascii")
     # each slow value leaves one NUL byte, where its format() text goes
@@ -352,8 +340,7 @@ def _fixed_rows(x: np.ndarray, col_d: np.ndarray, end: str) -> str:
     keep[slow, 0] = True
     chars[slow, 0] = 0
     parts = str(chars[keep], "ascii").split("\0")
-    exact = [format(v, f".{p}f") for v, p in
-             zip(x[slow].tolist(), np.broadcast_to(col_d, x.shape)[slow].tolist())]
+    exact = [format(v, f".{d}f") for v in x[slow].tolist()]
     return parts[0] + "".join(s + p for s, p in zip(exact, parts[1:]))
 
 
@@ -364,8 +351,8 @@ CSV_HEADER = "index,score"
 
 def scores_csv_text(curve: MotionCurve) -> str:
     """One ``index,score`` row per frame with 9-decimal scores."""
-    rows = np.column_stack((np.arange(len(curve)), curve.values))
-    return CSV_HEADER + "\n" + fixed_text(rows, (0, 9))
+    rows = enumerate(curve.values.tolist())
+    return CSV_HEADER + "\n" + "".join(f"{i},{v:.9f}\n" for i, v in rows)
 
 
 def write_scores_csv(curve: MotionCurve, path: str | Path) -> None:

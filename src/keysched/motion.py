@@ -80,8 +80,12 @@ class Extrema:
         for name, idx in (("peaks", self.peaks), ("valleys", self.valleys)):
             if sorted(set(idx)) != idx:
                 raise InvariantViolationError(f"{name} must be sorted and distinct")
-        prom = self.prominences  # as_floats rejects [], which an Extrema without peaks may carry
-        if prom is not None and (self.peaks or not isinstance(prom, list) or prom):
+        prom = self.prominences
+        # an Extrema without peaks may carry any empty 1-D sequence, which as_floats rejects
+        if not self.peaks and (isinstance(prom, (list, tuple)) and not prom
+                               or isinstance(prom, np.ndarray) and prom.shape == (0,)):
+            self.prominences = []
+        elif prom is not None:
             self.prominences = as_floats(prom, "prominences", 1, lo=0.0).tolist()
             if len(self.prominences) != len(self.peaks):
                 raise InvariantViolationError("need one prominence per peak")

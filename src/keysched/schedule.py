@@ -51,8 +51,7 @@ class ConditionLayout:
             raise InvariantViolationError("features must be a 2-D array at least one column wide")
         if self.features.shape[0] != self.total_frames:
             raise InvariantViolationError("features must carry one row per frame")
-        unmasked = self.features[self.mask == 0]
-        if unmasked.size and np.any(unmasked != 0.0):
+        if np.any(self.features[self.mask == 0] != 0.0):
             raise InvariantViolationError("unmasked rows must be exactly zero")
 
     @property
@@ -114,13 +113,12 @@ def interpolation_layout(keyframe_feats, schedule: KeyframeSchedule) -> Conditio
         raise CountMismatchError(
             f"{feats.shape[0]} feature rows for {len(schedule.keyframes)} keyframes"
         )
-    # KeyframeSchedule keeps every keyframe in [0, total_frames)
+    # KeyframeSchedule keeps the keyframes distinct and in [0, total_frames)
     total = schedule.total_frames
     features = np.zeros((total, feats.shape[1]))
     mask = np.zeros(total, dtype=np.int64)
-    for row, idx in enumerate(schedule.keyframes):
-        features[idx] = feats[row]
-        mask[idx] = 1
+    features[schedule.keyframes] = feats
+    mask[schedule.keyframes] = 1
     return ConditionLayout(mask=mask, features=features)
 
 

@@ -1,8 +1,12 @@
+import contextlib
 import errno
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -11,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_pgm_bytes, make_wav_bytes, write_wav
+from conftest import make_pgm_bytes, make_wav_bytes, moving_square_frames, write_pgm, write_wav
 from keysched import audiofeat, cli, errors, flow, ingest, motion, schedule, selection
 from keysched.cli import main
 from keysched.motion import MotionCurve
@@ -616,3 +622,108 @@ class TestCliMatchesLibrary:
         assert run(["spectrogram", "--wav", wav, "--out", out]) == 0
         spec = audiofeat.mel_spectrogram(ingest.load_wav(wav))
         assert out.read_bytes() == audiofeat.mel_csv_text(spec).encode("ascii")
+
+
+# the codes of README's exit-code table
+README = Path(__file__).resolve().parents[1] / "README.md"
+DOCUMENTED_EXITS = {int(c) for c in re.findall(r"^\| (\d+) \|", README.read_text(), re.M)}
+
+INT, REAL, FLAG, OUT = "int", "real", "flag", "out"
+# command -> {flag: what its value is}; any other value names an input_files entry
+ARGV_TABLE = {
+    "score": {"--frames": "frames", "--fps": REAL, "--normalize": FLAG, "--out": OUT},
+    "select": {"--scores": "scores", "--k": INT, "--random": FLAG, "--seed": INT, "--out": OUT},
+    "spectrogram": {"--wav": "wav", "--out": OUT},
+    "patches": {"--t-a": INT, "--kernel": INT, "--stride": INT},
+    "windows": {"--frames": INT, "--window": INT, "--stride": INT, "--out": OUT},
+    "eval-ap": {"--instances": "instances", "--t": REAL, "--strict": FLAG},
+    "plot": {"--scores": "scores", "--schedule": "schedule", "--width": INT, "--height": INT,
+             "--out": OUT},
+}
+
+# small values reach the success paths; the whole range, the size checks
+INTS = st.one_of(st.integers(-2, 64), st.integers(-2, 10 ** 400)).map(str)
+VALUES = {INT: INTS, REAL: st.sampled_from(["nan", "inf", "-inf", "1e400", "3"]),
+          FLAG: st.booleans(), OUT: st.sampled_from(["file", "missing", "directory"])}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """One tiny valid input of each kind the commands read."""
+    root = tmp_path_factory.mktemp("argv")
+    frames = root / "frames"
+    frames.mkdir()
+    for i, frame in enumerate(moving_square_frames(count=3, width=32)):
+        write_pgm(frame, frames / f"{i}.pgm")
+    curve = MotionCurve(np.random.default_rng(24).random(24))
+    ingest.write_scores_csv(curve, root / "scores.csv")
+    curve = motion.normalize(motion.smooth(curve, motion.DEFAULT_SMOOTH_WINDOW))
+    sched = selection.select_keyframes(curve, motion.detect_extrema(curve),
+                                       selection.SelectionParams(target_count=6))
+    ingest.write_schedule_json(sched, root / "schedule.json")
+    write_wav(ingest.AudioClip(np.random.default_rng(3).uniform(-0.5, 0.5, 32000)),
+              root / "clip.wav")
+    (root / "instances.txt").write_text("gt:5;20 pred:6;40\ngt:10 pred:13\n")
+    return {"root": root, "frames": frames, "scores": root / "scores.csv",
+            "schedule": root / "schedule.json", "wav": root / "clip.wav",
+            "instances": root / "instances.txt"}
+
+
+def run_captured(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+class TestArgvTable:
+    """Every command under drawn flag values, each passed as ``--flag=value`` so
+    that argparse never reads ``-inf`` as an option. ``MAX_WINDOWS`` and
+    ``MAX_CANVAS`` bound what any drawn value can make a command build."""
+
+    def test_readme_lists_every_stage_code(self):
+        assert DOCUMENTED_EXITS == {0, 1, *(e.exit_code for e in errors.STAGE_ERRORS)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("command", sorted(ARGV_TABLE))
+    def test_documented_exit_and_one_line_error(self, command, input_files, data):
+        drawn = {flag: data.draw(VALUES[kind], label=flag) if kind in VALUES
+                 else input_files[kind] for flag, kind in ARGV_TABLE[command].items()}
+        out_kind = drawn.pop("--out", "file")
+
+        def argv(out):
+            args = [command, f"--out={out}"] if "--out" in ARGV_TABLE[command] else [command]
+            for flag, value in drawn.items():
+                if value is True:
+                    args.append(flag)
+                elif value is not False:
+                    args.append(f"{flag}={value}")
+            return args
+
+        def check(code, err):
+            assert code in DOCUMENTED_EXITS
+            if code == 0:
+                assert err == ""
+            else:
+                assert err.startswith(f"keysched {command}: ") and err.count("\n") == 1
+                assert err.endswith("\n") and "Traceback" not in err
+
+        with tempfile.TemporaryDirectory(dir=input_files["root"]) as tmp:
+            tmp = Path(tmp)
+            (tmp / "directory").mkdir()
+            code, err = run_captured(argv(tmp / "o"))
+            check(code, err)
+            event(f"exit {code}")
+            if out_kind == "file":
+                return
+            out = tmp / "missing" / "o" if out_kind == "missing" else tmp / "directory"
+            bad_code, bad_err = run_captured(argv(out))
+            check(bad_code, bad_err)
+            assert ".tmp" not in bad_err
+            if code == 0:  # only the write fails, and its error names the user's path
+                assert bad_code == 2 and bad_err.endswith(f": '{out}'\n")
+            else:  # the same failure, before any write
+                assert (bad_code, bad_err) == (code, err)
+            assert not any((tmp / "directory").iterdir())
+            assert sorted(p.name for p in tmp.iterdir()) == ["directory", "o"][:1 + (code == 0)]

@@ -69,7 +69,7 @@ INDEX_SITES = {
     "interp_pos_embeddings.n_new": (lambda v: audiofeat.interp_pos_embeddings(MAT, v), 3),
     "segment_features.time_steps": (lambda v: audiofeat.segment_features(MAT, v), 3),
     "gather_keyframe_rows.indices": (lambda v: audiofeat.gather_keyframe_rows(MAT, [0, v]), 3),
-    "fixed_text.decimals": (lambda v: ingest.fixed_text([[1.5, 2.5]], [2, v]), 3),
+    "fixed_text.decimals": (lambda v: ingest.fixed_text([[1.5, 2.5]], v), 3),
     "FlowParams.iterations": (lambda v: flow.FlowParams(iterations=v), 3),
     "FlowParams.pyramid_levels": (lambda v: flow.FlowParams(pyramid_levels=v), 3),
     "PlotSpec.width": (lambda v: plot.render_plot(plot.PlotSpec(v, 60, NORM, Extrema())), 60),
@@ -204,7 +204,12 @@ def test_extrema_prominences_are_a_list_of_floats():
     given = Extrema(peaks=[3, 5], prominences=np.array([0.5, 1], dtype=np.float32))
     assert given == Extrema(peaks=[3, 5], prominences=[0.5, 1.0])
     assert type(given.prominences[1]) is float
-    assert Extrema(prominences=[]).prominences == []
+    for empty in ([], (), np.array([]), np.zeros(0, dtype=np.float32)):
+        assert Extrema(prominences=empty).prominences == []
+        assert Extrema(prominences=empty) == Extrema(prominences=[])
+    for not_1d in (np.zeros((0, 2)), [[]]):
+        with pytest.raises(errors.InvariantViolationError):
+            Extrema(prominences=not_1d)
 
 
 def read_zero_width_pgm():
@@ -320,6 +325,10 @@ VALIDATION = {
     "ConditionLayout.features_ragged":
         (lambda: schedule.ConditionLayout([1, 1], [[0.5], [0.5, 1.0]]),
          errors.InvariantViolationError),
+    "fixed_text.decimals_zero": (lambda: ingest.fixed_text([[1.5, 2.5]], 0),
+                                 errors.InvariantViolationError),
+    "fixed_text.decimals_list": (lambda: ingest.fixed_text([[1.5, 2.5]], [2, 9]),
+                                 errors.InvariantViolationError),
     "WindowPlan.geometry": (lambda: schedule.WindowPlan(6, 3, 4), errors.BadGeometryError),
     "GuidanceScales.finite": (lambda: refops.GuidanceScales(text=np.nan),
                               errors.InvariantViolationError),
