@@ -9,6 +9,8 @@ in the worst case: vectorized peeling rounds settle most peaks (each round
 drops every peak lower than both of its neighbouring peaks, which fixes its
 two bases), and a monotonic stack finishes the peaks that remain. The kept
 peaks' prominences, which downstream peak ranking uses, come from the same pass.
+The distance filter visits the k candidates highest first, and each peak it
+keeps marks out every candidate within the distance: O(k log k) in all.
 detect_peaks() / detect_valleys(): one side of detect_extrema().
 peak_prominences(): exact prominence of any index (0.0 off a peak plateau),
 for extrema that carry no prominences.
@@ -16,7 +18,6 @@ for extrema that carry no prominences.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,18 +228,15 @@ def _peaks(x: np.ndarray, distance: int, prominence: float) -> tuple[list[int], 
     first, prom = _run_prominences(x)
     survives = (prom > 0) & (prom >= prominence)
     cands, cand_prom = first[survives], prom[survives]
-    order = np.argsort(-x[cands], kind="stable")
-    kept: list[int] = []
-    kept_prom: list[float] = []
-    for i, p in zip(cands[order].tolist(), cand_prom[order].tolist()):
-        # the nearest kept peak on either side decides
-        pos = bisect_left(kept, i)
-        if (pos == 0 or i - kept[pos - 1] >= distance) and (
-            pos == len(kept) or kept[pos] - i >= distance
-        ):
-            kept.insert(pos, i)
-            kept_prom.insert(pos, p)
-    return kept, kept_prom
+    d = min(distance, x.size)  # any d >= n keeps one peak, and keeps cands - d in int64
+    lo = np.searchsorted(cands, cands - d, "right").tolist()
+    hi = np.searchsorted(cands, cands + d, "left").tolist()
+    keep = [True] * cands.size
+    for j in np.argsort(-x[cands], kind="stable").tolist():
+        if keep[j]:  # no higher peak, nor an earlier one as high, was kept within d
+            keep[lo[j]:hi[j]] = [False] * (hi[j] - lo[j])
+            keep[j] = True
+    return cands[keep].tolist(), cand_prom[keep].tolist()
 
 
 def detect_extrema(

@@ -7,6 +7,7 @@ code paths it verifies.
 
 import math
 import struct
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,27 @@ def detect_peaks_oracle(x, min_distance=5, min_prominence=0.1):
         if min((abs(i - k) for k in kept), default=min_distance) >= min_distance:
             kept.append(i)
     return sorted(kept)
+
+
+def peaks_sorted_list_oracle(x, distance, prominence):
+    """The distance filter as a sorted list of kept peaks: each candidate, highest
+    first and ties toward the lower index, is kept when its nearest kept
+    neighbours on both sides lie at least ``distance`` away."""
+    first, prom = run_prominences_oracle(x)
+    survives = (prom > 0) & (prom >= prominence)
+    cands, cand_prom = first[survives], prom[survives]
+    order = np.argsort(-x[cands], kind="stable")
+    kept: list[int] = []
+    kept_prom: list[float] = []
+    for i, p in zip(cands[order].tolist(), cand_prom[order].tolist()):
+        # the nearest kept peak on either side decides
+        pos = bisect_left(kept, i)
+        if (pos == 0 or i - kept[pos - 1] >= distance) and (
+            pos == len(kept) or kept[pos] - i >= distance
+        ):
+            kept.insert(pos, i)
+            kept_prom.insert(pos, p)
+    return kept, kept_prom
 
 
 def interp_pos_embeddings_oracle(emb, n_new):

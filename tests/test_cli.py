@@ -727,3 +727,57 @@ class TestArgvTable:
                 assert (bad_code, bad_err) == (code, err)
             assert not any((tmp / "directory").iterdir())
             assert sorted(p.name for p in tmp.iterdir()) == ["directory", "o"][:1 + (code == 0)]
+
+
+# each command's smaller input: curve points, keypoint pairs, frames or WAV samples
+SCALE_N = {"select": 4000, "plot": 4000, "eval-ap": 4000, "windows": 4000,
+           "spectrogram": 64000, "score": 4}
+
+
+def scaling_argv(command, n, root):
+    """Write a seeded input of size ``n`` for ``command`` under ``root``; its argv."""
+    rng = np.random.default_rng(n)
+    root.mkdir()
+    scores, out = root / "scores.csv", f"--out={root / 'out'}"
+    if command in ("select", "plot"):
+        ingest.write_scores_csv(MotionCurve(rng.random(n)), scores)
+        if command == "select":
+            return ["select", f"--scores={scores}", out]
+        assert main(["select", f"--scores={scores}", f"--out={root / 'sched.json'}"]) == 0
+        return ["plot", f"--scores={scores}", f"--schedule={root / 'sched.json'}", out]
+    if command == "eval-ap":  # interleaved pairs, all matched at t = 1
+        (root / "inst.txt").write_text(f"gt:{';'.join(map(str, range(0, 2 * n, 2)))} "
+                                       f"pred:{';'.join(map(str, range(1, 2 * n, 2)))}\n")
+        return ["eval-ap", f"--instances={root / 'inst.txt'}", "--t=1"]
+    if command == "windows":
+        return ["windows", f"--frames={n}", "--window=12", "--stride=6", out]
+    if command == "spectrogram":
+        write_wav(ingest.AudioClip(rng.uniform(-0.5, 0.5, n)), root / "clip.wav")
+        return ["spectrogram", f"--wav={root / 'clip.wav'}", out]
+    texture = rng.random((32, 32))
+    (root / "frames").mkdir()
+    for i in range(n):
+        write_pgm(ingest.Frame(np.roll(texture, i, axis=1)), root / "frames" / f"{i:03d}.pgm")
+    return ["score", f"--frames={root / 'frames'}", out]
+
+
+class TestMemoryScaling:
+    """Each command's ``tracemalloc`` peak grows at most 6x when its input
+    grows 4x: linear growth gives about 4x, and a quadratic buffer 16x.
+    ``score`` streams its frames and ``spectrogram`` reads only the samples
+    it frames, so their peaks hardly grow at all."""
+
+    @pytest.mark.parametrize("command", sorted(SCALE_N))
+    def test_peak_grows_at_most_6x_per_4x_input(self, command, tmp_path):
+        argvs = [scaling_argv(command, n, tmp_path / str(n))
+                 for n in (SCALE_N[command], 4 * SCALE_N[command])]
+        assert main(argvs[0]) == 0  # caches and lazy imports are not the input's
+        peaks = []
+        for argv in argvs:
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 6 * peaks[0], peaks

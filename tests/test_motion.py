@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from keysched import errors, motion
 from oracles import (
     detect_peaks_oracle,
+    peaks_sorted_list_oracle,
     plateau_peaks_oracle,
     prominence_oracle,
     run_prominences_oracle,
@@ -264,7 +265,7 @@ class TestExactAgainstOracle:
         indices = list(range(len(x)))
         assert motion.peak_prominences(curve, indices) == [prominence_oracle(x, i) for i in indices]
         negated = (-curve.values).tolist()
-        for min_distance in (1, 3, 5):
+        for min_distance in (0, 1, 3, 5, 50):
             for min_prominence in (0.0, 0.1, 0.5):
                 assert motion.detect_peaks(curve, min_distance, min_prominence) == \
                     detect_peaks_oracle(x, min_distance, min_prominence)
@@ -344,3 +345,32 @@ class TestPeelingAgainstStackOracle:
         assert np.array(ours[0]).tobytes() == np.array(theirs[0]).tobytes()
         assert (ours[1].peaks, ours[1].valleys) == (theirs[1].peaks, theirs[1].valleys)
         assert np.array(ours[1].prominences).tobytes() == np.array(theirs[1].prominences).tobytes()
+
+
+def smoothed_noise(size, seed):
+    """Seeded uniform noise, smoothed and normalized as ``select`` prepares a curve."""
+    raw = motion.MotionCurve(np.random.default_rng(seed).random(size))
+    return motion.normalize(motion.smooth(raw, motion.DEFAULT_SMOOTH_WINDOW)).values
+
+
+class TestDistanceFilterAgainstSortedList:
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.builds(smoothed_noise, st.integers(1, 5000), st.integers(0, 2**32 - 1)),
+           distance=st.sampled_from([0, 1, 2, 5, 50, 500, 10**30]),
+           prominence=st.sampled_from([0.0, 0.1]))
+    @example(values=[0, 1, 0, 0, 1, 0], distance=3, prominence=0.1)  # equal peaks d apart
+    @example(values=[0, 1, 0, 0, 1, 0], distance=4, prominence=0.1)  # the tie: lower index
+    @example(values=[0, 0.5, 0, 1, 0, 0.7, 0], distance=7, prominence=0.0)  # d >= n
+    @example(values=[0, 0.5, 1], distance=5, prominence=0.0)  # no candidates
+    @example(values=teeth([1, 2] * 20), distance=5, prominence=0.1)  # ties an unstable sort moves
+    def test_peaks_match_oracle(self, values, distance, prominence):
+        x = np.asarray(values, dtype=float)
+        for side in (x, -x):
+            assert motion._peaks(side, distance, prominence) == \
+                peaks_sorted_list_oracle(side, distance, prominence)
+
+    def test_huge_distance_keeps_only_the_top_extrema(self):
+        x = np.zeros(48)
+        x[[10, 20, 30, 40]] = 0.6, 0.3, 1.0, 0.8
+        assert motion.detect_extrema(normalized(x), 10**30) == \
+            motion.Extrema(peaks=[30], valleys=[11], prominences=[1.0])
