@@ -269,7 +269,8 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-# rows per fixed_text block: 64 KB per int64 temporary of a two-column table
+# rows per fixed_text block: 64 KB per int64 temporary of two columns; also the
+# most rows that one value the digit matrix cannot write sends through format
 FIXED_BLOCK_ROWS = 4096
 
 
@@ -284,15 +285,16 @@ def fixed_text(table, decimals: int, end: str = "\n") -> str:
     ``y = x * 10**d`` is the float nearest the exact product, and below
     2**52 every half-integer is a float, so none lies strictly between the
     two: unless ``y`` is itself a half-integer, both round to the same
-    integer. Those ties, signed values (-0.0 too), non-finite values and
-    ``y >= 2**52`` go through ``format`` one by one. Every other value is cut
-    into digit columns of one character matrix, from which one boolean mask
-    drops the leading integer zeros; a block with one integer digit
-    everywhere has none, so it needs no mask.
+    integer. A block holding a value the digit matrix cannot write exactly,
+    a tie, a signed value (-0.0 too), a non-finite value or ``y >= 2**52``,
+    is written whole by ``format``. Any other block is cut into digit columns
+    of one character matrix, from which one boolean mask drops the leading
+    integer zeros; with one integer digit everywhere there is no mask.
 
-    The rows are formatted in blocks of at most ``FIXED_BLOCK_ROWS``, so the
-    temporaries stay small enough for the heap to reuse from block to block
-    instead of each being mapped and faulted in afresh.
+    The rows go in blocks of at most ``FIXED_BLOCK_ROWS``, so the temporaries
+    stay small enough for the heap to reuse from block to block instead of
+    each being mapped and faulted in afresh, and one such value sends at most
+    that many rows through ``format``.
     """
     d = as_index(decimals, "decimals", lo=1, hi=19)
     x = np.asarray(table, dtype=np.float64)
@@ -302,16 +304,15 @@ def fixed_text(table, decimals: int, end: str = "\n") -> str:
 
 def _fixed_rows(x: np.ndarray, d: int, end: str) -> str:
     """``fixed_text`` of one block of rows."""
-    rows, cols = x.shape
     with np.errstate(over="ignore", invalid="ignore"):
         y = x * 10.0 ** d
-        fast = np.isfinite(y) & ~np.signbit(x) & (y < 2.0 ** 52)
-        y[~fast] = 0.0
-        fast &= y - np.floor(y) != 0.5
+        fast = np.isfinite(y) & ~np.signbit(x) & (y < 2.0 ** 52) & (y - np.floor(y) != 0.5)
+    if not fast.all():
+        return "".join(",".join(format(v, f".{d}f") for v in row) + end for row in x.tolist())
     whole, frac = np.divmod(np.rint(y).astype(np.int64), 10 ** d)
     wi = len(str(whole.max()))
     # per value: wi integer digits, the point, d fraction digits, a comma
-    chars = np.empty((rows, cols, wi + d + 2), dtype=np.uint8)
+    chars = np.empty((*x.shape, wi + d + 2), dtype=np.uint8)
 
     def put_digits(value, start, stop):
         # in the narrowest dtype that holds it, where dividing by 10 is cheapest
@@ -326,22 +327,12 @@ def _fixed_rows(x: np.ndarray, d: int, end: str) -> str:
     chars[:, :, wi] = ord(".")
     chars[:, :, -1] = ord(",")
     chars[:, -1, -1] = ord(end)
-    slow = ~fast
-    any_slow = slow.any()
-    if wi == 1 and not any_slow:  # no leading zero to drop
+    if wi == 1:  # no leading zero to drop
         return str(chars, "ascii")
     keep = np.ones(chars.shape, dtype=bool)
     for k in range(wi - 1):
         np.greater_equal(whole, 10 ** (wi - 1 - k), out=keep[:, :, k])
-    if not any_slow:
-        return str(chars[keep], "ascii")
-    # each slow value leaves one NUL byte, where its format() text goes
-    keep[slow, :-1] = False
-    keep[slow, 0] = True
-    chars[slow, 0] = 0
-    parts = str(chars[keep], "ascii").split("\0")
-    exact = [format(v, f".{d}f") for v in x[slow].tolist()]
-    return parts[0] + "".join(s + p for s, p in zip(exact, parts[1:]))
+    return str(chars[keep], "ascii")
 
 
 # --- scores CSV ---

@@ -79,7 +79,7 @@ class Extrema:
         self.peaks = [as_index(i, "peaks") for i in self.peaks]
         self.valleys = [as_index(i, "valleys") for i in self.valleys]
         for name, idx in (("peaks", self.peaks), ("valleys", self.valleys)):
-            if sorted(set(idx)) != idx:
+            if any(b <= a for a, b in zip(idx, idx[1:])):
                 raise InvariantViolationError(f"{name} must be sorted and distinct")
         prom = self.prominences
         # an Extrema without peaks may carry any empty 1-D sequence, which as_floats rejects

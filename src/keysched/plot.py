@@ -44,7 +44,7 @@ class PlotSpec:
         n, sched = len(self.curve), self.schedule
         if sched is not None and sched.total_frames != n:
             raise InvariantViolationError(f"schedule of {sched.total_frames} frames, curve of {n}")
-        if any(i >= n for i in self.extrema.peaks + self.extrema.valleys):
+        if any(i >= n for i in self.extrema.peaks[-1:] + self.extrema.valleys[-1:]):
             raise InvariantViolationError(f"extrema index beyond curve of length {n}")
 
 

@@ -20,6 +20,7 @@ from .errors import (
     InconsistentExtremaError,
     InvalidKError,
     InvariantViolationError,
+    as_floats,
     as_index,
 )
 # detect_valleys is unused here but stays a module attribute that perfbench/tracer.py wraps
@@ -100,18 +101,18 @@ def choose_peaks(
     limit = as_index(limit, "limit")
     if len(peaks) != len(prominences):
         raise InconsistentExtremaError("peaks and prominences differ in length")
+    if len(peaks) == 0:  # the reals rule rejects empty prominences
+        return []
     peaks = [as_index(p, "peaks") for p in peaks]
-    if len(peaks) <= limit:
-        return sorted(peaks)
+    prominences = as_floats(prominences, "prominences", 1, lo=0.0).tolist()
     mode = params.mode if params is not None else MODE_BY_PROMINENCE
     if mode == MODE_SEEDED_RANDOM:
-        pool = list(peaks)
         state = params.seed & _MASK64
-        for j in range(len(pool) - 1, 0, -1):
+        for j in range(len(peaks) - 1, 0, -1):
             state, z = _splitmix64(state)
             i = z % (j + 1)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[:limit])
+            peaks[i], peaks[j] = peaks[j], peaks[i]
+        return sorted(peaks[:limit])
     ranked = sorted(range(len(peaks)), key=lambda i: (-prominences[i], peaks[i]))
     return sorted(peaks[i] for i in ranked[:limit])
 
@@ -181,7 +182,7 @@ def select_keyframes(
     if t_k >= total:
         raise InvalidKError(f"need target count < frame count, got {t_k} >= {total}")
     for name, idx in (("peaks", extrema.peaks), ("valleys", extrema.valleys)):
-        if any(not 0 <= i < total for i in idx):
+        if idx and idx[-1] >= total:  # sorted, distinct and >= 0: see Extrema
             raise InconsistentExtremaError(f"{name} fall outside the curve range")
 
     peak_limit = t_k // 2 - 1

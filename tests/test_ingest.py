@@ -1,4 +1,5 @@
 import hashlib
+import math
 import pickle
 import re
 import struct
@@ -11,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pgm_bytes, make_wav_bytes, write_pgm, write_wav
-from keysched import errors, evaluate, ingest
+from keysched import audiofeat, errors, evaluate, ingest, motion, plot
 from keysched.motion import MotionCurve
-from keysched.selection import KeyframeSchedule
+from keysched.selection import KeyframeSchedule, SelectionParams, select_keyframes
 from oracles import load_wav_oracle, read_pgm_oracle, read_scores_csv_oracle
 
 
@@ -389,13 +390,26 @@ FIXED_VALUES = st.one_of(
 )
 
 
+def fast_values(d):
+    """Values the digit matrix writes: finite, >= 0, no tie, below 2**52 / 10**d."""
+    def fast(v):
+        y = v * 10.0 ** d
+        return math.copysign(1.0, v) > 0 and y < 2.0 ** 52 and y - math.floor(y) != 0.5
+    top = 2.0 ** 52 / 10 ** d
+    return st.one_of(st.floats(0.0, top), st.floats(0.0, min(top, 1e4))).filter(fast)
+
+
 @st.composite
 def fixed_tables(draw):
-    """1-12 rows of 1-5 FIXED_VALUES, and one d for every column."""
+    """1-12 rows of 1-5 values and one d for every column: FIXED_VALUES, or
+    in about half the tables only values the digit matrix writes, since one
+    other value sends the whole table to ``format``."""
     rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 5))
-    table = draw(st.lists(st.lists(FIXED_VALUES, min_size=cols, max_size=cols),
+    d = draw(st.sampled_from([1, 2, 9, 18]))
+    values = draw(st.sampled_from([FIXED_VALUES, fast_values(d)]))
+    table = draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
                           min_size=rows, max_size=rows))
-    return table, draw(st.sampled_from([1, 2, 9, 18]))
+    return table, d
 
 
 class TestFixedText:
@@ -446,22 +460,45 @@ class TestFixedText:
 
     @pytest.mark.parametrize("rows", [4095, 4096, 4097, 8193])
     def test_row_blocks_match_format(self, rows):
-        """Ties, signed and non-finite values on both sides of each block
-        boundary, where the rows are formatted in separate blocks, at the
-        plot's d = 2 and the mel's d = 9."""
+        """Rows formatted in separate blocks, at the plot's d = 2 and the
+        mel's d = 9, in three tables: one with no tie, signed or non-finite
+        value, so every block goes through the digit matrix; one with such
+        values only in its last block, which ``format`` writes after matrix
+        blocks; and one with them on both sides of each block boundary."""
         block = ingest.FIXED_BLOCK_ROWS
         assert block == 4096
         rng = np.random.default_rng(rows)
-        table = rng.uniform(0.0, 1000.0, (rows, 2))
         edges = [r for b in range(block, rows + block, block)
                  for r in range(b - 2, b + 2) if r < rows]
-        for k, r in enumerate(edges):
-            table[r] = self.SPECIALS[k % 10], self.SPECIALS[(k + 3) % 10]
-        for d in (2, 9):
-            got = ingest.fixed_text(table, d).split("\n")
-            assert got.pop() == ""
-            assert [row.split(",") for row in got] == [
-                [format(x, f".{d}f") for x in row] for row in table.tolist()]
+        last = [r for r in edges if r >= (rows - 1) // block * block]
+        for special_rows in ([], last, edges):
+            table = rng.uniform(0.0, 1000.0, (rows, 2))
+            for k, r in enumerate(special_rows):
+                table[r] = self.SPECIALS[k % 10], self.SPECIALS[(k + 3) % 10]
+            for d in (2, 9):
+                got = ingest.fixed_text(table, d).split("\n")
+                assert got.pop() == ""
+                assert [row.split(",") for row in got] == [
+                    [format(x, f".{d}f") for x in row] for row in table.tolist()]
+
+    def test_mel_and_plot_never_reach_format(self, monkeypatch):
+        """A seeded 128 x 196 mel and the tables of a 24 000-point plot hold
+        no value the digit matrix cannot write, so no block goes to ``format``."""
+        rng = np.random.default_rng(5)
+        mel = audiofeat.mel_spectrogram(ingest.AudioClip(rng.uniform(-1.0, 1.0, 32000)))
+        want = "".join(",".join(format(v, ".9f") for v in row) + "\n"
+                       for row in mel.values.tolist())
+        curve = motion.normalize(motion.smooth(MotionCurve(rng.uniform(0.0, 1.0, 24000))))
+        extrema = motion.detect_extrema(curve)
+        spec = plot.PlotSpec(1200, 400, curve, extrema,
+                             select_keyframes(curve, extrema, SelectionParams(24)))
+
+        def no_format(*args):
+            raise AssertionError("fixed_text called format")
+
+        monkeypatch.setattr(ingest, "format", no_format, raising=False)
+        assert audiofeat.mel_csv_text(mel) == want
+        assert plot.render_plot(spec).count("<polyline") == 1
 
 
 class TestScheduleJson:

@@ -339,6 +339,12 @@ VALIDATION = {
                              errors.InvariantViolationError),
     "choose_peaks.lengths": (lambda: selection.choose_peaks([1, 3], [0.5], 1),
                              errors.InconsistentExtremaError),
+    "choose_peaks.prominences_str": (lambda: selection.choose_peaks([1, 2, 3], ["a", "b", "c"], 1),
+                                     errors.InvariantViolationError),
+    "choose_peaks.prominences_nan": (lambda: selection.choose_peaks([3, 1], [np.nan, 0.5], 1),
+                                     errors.InvariantViolationError),
+    "choose_peaks.prominences_negative":
+        (lambda: selection.choose_peaks([1, 3], [0.5, -0.5], 1), errors.InvariantViolationError),
 }
 
 
