@@ -24,6 +24,7 @@ from .errors import (
     WrongSampleRateError,
     as_floats,
     as_index,
+    as_indices,
     as_real_array,
 )
 from .ingest import AudioClip, PIPELINE_SAMPLE_RATE, fixed_text
@@ -181,7 +182,7 @@ def gather_keyframe_rows(perstep, indices) -> np.ndarray:
     mat = as_feature_matrix(perstep, "perstep")
     if isinstance(indices, KeyframeSchedule):
         indices = indices.keyframes
-    idx = [as_index(i, "indices", lo=None) for i in indices]
+    idx = as_indices(indices, "indices", lo=None)
     for i in idx:
         if not 0 <= i < mat.shape[0]:
             raise IndexOutOfRangeError(f"row {i} outside matrix with {mat.shape[0]} rows")

@@ -99,6 +99,22 @@ def as_index(value, name: str, lo: int | None = 0, hi: int | None = None) -> int
     return index
 
 
+def as_indices(values, name: str, lo: int | None = 0, hi: int | None = None) -> list[int]:
+    """``as_index`` of each entry, as a list of ints. An integer ndarray takes
+    one vectorized bounds check; any other input is checked entry by entry.
+    The first bad entry raises as ``as_index`` would."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.ndim == 1):
+        return [as_index(v, name, lo, hi) for v in values]
+    bad = np.zeros(values.shape, dtype=bool)
+    if lo is not None:
+        bad |= values < lo
+    if hi is not None:
+        bad |= values >= hi
+    if bad.any():
+        as_index(values[bad.argmax()], name, lo, hi)
+    return values.tolist()
+
+
 def as_floats(value, name: str, ndim: int = 0, lo: float = -np.inf, hi: float = np.inf):
     """The one real rule: a non-empty ``ndim``-D float64 array (0-D for a scalar, float64 input
     not copied) of Python or NumPy ints or floats, all finite and in ``[lo, hi]``; anything else,

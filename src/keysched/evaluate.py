@@ -18,7 +18,7 @@ from .errors import (
     NotDivisibleByThreeError,
     NoValidInstancesError,
     ParseError,
-    as_index,
+    as_indices,
 )
 from .ingest import _read_text
 
@@ -31,8 +31,8 @@ class KeypointInstance:
     pred: list[int]
 
     def __post_init__(self):
-        self.gt = sorted(as_index(i, "gt") for i in self.gt)
-        self.pred = sorted(as_index(i, "pred") for i in self.pred)
+        self.gt = sorted(as_indices(self.gt, "gt"))
+        self.pred = sorted(as_indices(self.pred, "pred"))
 
 
 @dataclass

@@ -9,15 +9,18 @@ benchmark endpoint accuracy.
 
 from __future__ import annotations
 
-import itertools
 import os
+import pickle
+import signal
 import threading
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError, TooShortError, TooSmallError, as_floats, as_index
+from .errors import (InvariantViolationError, KeyschedError, TooShortError, TooSmallError,
+                     as_floats, as_index)
 from .ingest import Frame, FrameSequence, FrameSource
 from .motion import MotionCurve, STAGE_RAW
 
@@ -279,6 +282,51 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _range_scores(seq: FrameSequence | FrameSource, params: FlowParams,
+                  normalize: bool) -> list[float]:
+    """The score of each consecutive pair of ``seq``, in order, up to the
+    first failure."""
+    scores = []
+    for pair in _pyramid_pairs(seq, params.pyramid_levels):
+        scores.append(motion_score(_solve_pair(*pair, params), normalize=normalize))
+        del pair  # hold no spent pyramid while the next one is built
+    return scores
+
+
+def _fork_range(seq: FrameSequence | FrameSource, params: FlowParams,
+                normalize: bool) -> tuple[int, int]:
+    """Start a child that scores the pairs of ``seq``; return its pid and
+    the read end of the pipe where it sends ``(scores, error)`` as a pickle."""
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on a fork from a process with OS threads, and
+        # NumPy's OpenBLAS starts one at import. The child calls no BLAS and
+        # takes no lock that another thread can hold.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    try:  # the child: every path ends in os._exit, so nothing of the parent's runs on
+        os.close(read)
+        try:
+            result = _range_scores(seq, params, normalize), None
+        except BaseException as exc:
+            result = None, exc
+        try:
+            data = pickle.dumps(result)
+            pickle.loads(data)
+        except Exception:  # only an error can fail to pickle; scores always do
+            exc = result[1]
+            data = pickle.dumps((None, KeyschedError(
+                f"flow worker raised {type(exc).__qualname__}, which does not pickle: {exc}")))
+        with open(write, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
+
+
 def motion_curve(
     seq: FrameSequence | FrameSource,
     params: FlowParams | None = None,
@@ -289,53 +337,48 @@ def motion_curve(
     Entry t scores the transition t -> t+1; the final entry duplicates its
     predecessor so every frame index carries a score.
 
-    Pairs are solved by ``min(2, usable CPUs, pairs)`` solvers: the calling
-    thread and at most one helper thread. Both take pairs from one
-    ``_pyramid_pairs`` stream under a lock, so each frame is read once, in
-    order, and its pyramid built once; each solves its pair outside the lock,
-    where NumPy releases the GIL, and stores the score at the pair's index.
-    Pairs are independent, so the bytes do not depend on the solver count.
-    A solver drops its pair before it takes the next, so at most two
-    pyramids per solver are live and peak memory does not grow with the
-    length of a ``FrameSource``.
+    The pairs are split into ``min(usable CPUs, pairs)`` contiguous ranges,
+    where neighbouring ranges share one boundary frame, so each frame is read
+    once per range that holds it and its pyramid built once per range. The
+    calling process solves the first range; each other range goes to one
+    ``os.fork()`` child, which sends its scores back through a pipe. Pairs
+    are independent, so the bytes do not depend on the range count. A range
+    keeps at most two pyramids live, so peak memory does not grow with the
+    length of a ``FrameSource``. Where ``os.fork`` is missing, or where
+    the process runs other Python threads (forking there is unsafe), the
+    calling thread solves all pairs as one range.
 
-    The first failure stops both solvers after their current pair; the error
-    of the earliest frame or pair is raised once the helper has finished.
+    Each range stops at its first failure, and the error of the lowest range
+    that failed is raised: the error one range would raise. Every child is
+    killed, if it still runs, and reaped before this returns or raises.
     """
     total = len(seq)
     if total < 2:
         raise TooShortError(f"need at least 2 frames, got {total}")
     params = params or FlowParams()
-    pairs = _pyramid_pairs(seq, params.pyramid_levels)
-    lock = threading.Lock()
-    values = [0.0] * (total - 1)
-    order = itertools.count()  # the index of the pair next() hands out
-    failures = []  # (pair index, error), from either solver
-
-    def solve():
-        index = 0
-        try:
-            while not failures:
-                with lock:
-                    index = next(order)
-                    pair = next(pairs, None)
-                if pair is None:
-                    return
-                values[index] = motion_score(_solve_pair(*pair, params), normalize=normalize)
-                del pair  # hold no pyramid while waiting for the lock
-        except BaseException as exc:  # re-raised below, on the calling thread
-            failures.append((index, exc))
-
-    helper = None
-    if min(2, _usable_cpus(), total - 1) > 1:
-        helper = threading.Thread(target=solve, name="keysched-flow")
-        helper.start()
+    ranges = min(_usable_cpus(), total - 1)
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        ranges = 1
+    # range k solves pairs bounds[k] to bounds[k + 1] - 1, whose last frame is bounds[k + 1]
+    bounds = [(total - 1) * k // ranges for k in range(ranges + 1)]
+    workers = []  # (pid, pipe) of each child, in range order
     try:
-        solve()
+        for a, b in zip(bounds[1:], bounds[2:]):
+            workers.append(_fork_range(seq[a:b + 1], params, normalize))
+        values = _range_scores(seq[:bounds[1] + 1], params, normalize)
+        for pid, pipe in workers:
+            with open(pipe, "rb", closefd=False) as fh:
+                data = fh.read()
+            if not data:
+                raise KeyschedError(f"flow worker {pid} ended without a result")
+            scores, error = pickle.loads(data)
+            if error is not None:
+                raise error
+            values += scores
     finally:
-        if helper is not None:
-            helper.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        for pid, pipe in workers:
+            os.close(pipe)
+            os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
+            os.waitpid(pid, 0)
     values.append(values[-1])
     return MotionCurve(np.array(values), stage=STAGE_RAW)

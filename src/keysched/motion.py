@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (InvalidWindowError, InvariantViolationError, NotNormalizedError,
-                     as_floats, as_index)
+                     as_floats, as_index, as_indices)
 
 STAGE_RAW = "raw"
 STAGE_SMOOTHED = "smoothed"
@@ -76,8 +76,8 @@ class Extrema:
     prominences: list[float] | None = None
 
     def __post_init__(self):
-        self.peaks = [as_index(i, "peaks") for i in self.peaks]
-        self.valleys = [as_index(i, "valleys") for i in self.valleys]
+        self.peaks = as_indices(self.peaks, "peaks")
+        self.valleys = as_indices(self.valleys, "valleys")
         for name, idx in (("peaks", self.peaks), ("valleys", self.valleys)):
             if any(b <= a for a, b in zip(idx, idx[1:])):
                 raise InvariantViolationError(f"{name} must be sorted and distinct")
@@ -217,13 +217,13 @@ def peak_prominences(curve: MotionCurve, indices: list[int]) -> list[float]:
     prominence, any other index 0.0.
     """
     x = curve.values
-    indices = [as_index(i, "indices", hi=x.size) for i in indices]
+    indices = as_indices(indices, "indices", hi=x.size)
     first, prom = _run_prominences(x)
     runs = np.searchsorted(first, np.asarray(indices, dtype=np.int64), side="right") - 1
     return prom[runs].tolist()
 
 
-def _peaks(x: np.ndarray, distance: int, prominence: float) -> tuple[list[int], list[float]]:
+def _peaks(x: np.ndarray, distance: int, prominence: float) -> tuple[np.ndarray, np.ndarray]:
     """Kept peak indices of ``x`` and their prominences; see ``detect_extrema``."""
     first, prom = _run_prominences(x)
     survives = (prom > 0) & (prom >= prominence)
@@ -236,7 +236,7 @@ def _peaks(x: np.ndarray, distance: int, prominence: float) -> tuple[list[int], 
         if keep[j]:  # no higher peak, nor an earlier one as high, was kept within d
             keep[lo[j]:hi[j]] = [False] * (hi[j] - lo[j])
             keep[j] = True
-    return cands[keep].tolist(), cand_prom[keep].tolist()
+    return cands[keep], cand_prom[keep]
 
 
 def detect_extrema(

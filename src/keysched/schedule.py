@@ -22,6 +22,7 @@ from .errors import (
     OddDimError,
     ShapeMismatchError,
     as_index,
+    as_indices,
     as_real_array,
 )
 from .selection import KeyframeSchedule
@@ -149,7 +150,7 @@ def frame_index_embedding(indices, channels: int) -> np.ndarray:
     channels = as_index(channels, "channels", lo=None)
     if channels < 2 or channels % 2 != 0:
         raise OddDimError(f"channels must be even and >= 2, got {channels}")
-    idx = np.asarray([as_index(i, "indices") for i in indices], dtype=np.float64)
+    idx = np.asarray(as_indices(indices, "indices"), dtype=np.float64)
     k = np.arange(channels // 2)
     rates = 1.0 / np.power(10000.0, 2.0 * k / channels)
     phase = idx[:, None] * rates[None, :]

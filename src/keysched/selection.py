@@ -22,6 +22,7 @@ from .errors import (
     InvariantViolationError,
     as_floats,
     as_index,
+    as_indices,
 )
 # detect_valleys is unused here but stays a module attribute that perfbench/tracer.py wraps
 from .motion import Extrema, MotionCurve, detect_valleys, peak_prominences  # noqa: F401
@@ -44,10 +45,10 @@ class KeyframeSchedule:
 
     def __post_init__(self):
         self.total_frames = as_index(self.total_frames, "total_frames")
-        self.keyframes = [as_index(i, "keyframes", hi=self.total_frames) for i in self.keyframes]
-        self.peaks_used = sorted(as_index(i, "peaks_used") for i in self.peaks_used)
-        self.valleys_used = sorted(as_index(i, "valleys_used") for i in self.valleys_used)
-        self.fill = sorted(as_index(i, "fill") for i in self.fill)
+        self.keyframes = as_indices(self.keyframes, "keyframes", hi=self.total_frames)
+        self.peaks_used = sorted(as_indices(self.peaks_used, "peaks_used"))
+        self.valleys_used = sorted(as_indices(self.valleys_used, "valleys_used"))
+        self.fill = sorted(as_indices(self.fill, "fill"))
         kf = self.keyframes
         if any(b <= a for a, b in zip(kf, kf[1:])):
             raise InvariantViolationError("keyframes must be strictly increasing")
@@ -103,7 +104,7 @@ def choose_peaks(
         raise InconsistentExtremaError("peaks and prominences differ in length")
     if len(peaks) == 0:  # the reals rule rejects empty prominences
         return []
-    peaks = [as_index(p, "peaks") for p in peaks]
+    peaks = as_indices(peaks, "peaks")
     prominences = as_floats(prominences, "prominences", 1, lo=0.0).tolist()
     mode = params.mode if params is not None else MODE_BY_PROMINENCE
     if mode == MODE_SEEDED_RANDOM:

@@ -109,8 +109,9 @@ class TestScoreErrorOrder:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("keysched score: ")
 
-    # frames are read in order whatever the solver count, so the error of
-    # frame 3 ends the run before frame 6 is reached
+    # whatever the range count, frame 3 is read before frame 6 in any range
+    # that holds both, and the lowest failed range's error is raised, so the
+    # error of frame 3 wins
     @pytest.mark.parametrize("resized", [(3,), (3, 6)], ids=["frame3", "frames3and6"])
     def test_frame_resized_while_scoring_exits_2(self, resized, pgm_dir, tmp_path,
                                                  monkeypatch, capsys):

@@ -366,7 +366,9 @@ class TestDistanceFilterAgainstSortedList:
     def test_peaks_match_oracle(self, values, distance, prominence):
         x = np.asarray(values, dtype=float)
         for side in (x, -x):
-            assert motion._peaks(side, distance, prominence) == \
+            peaks, prominences = motion._peaks(side, distance, prominence)
+            assert (peaks.dtype, prominences.dtype) == (np.int64, np.float64)
+            assert (peaks.tolist(), prominences.tolist()) == \
                 peaks_sorted_list_oracle(side, distance, prominence)
 
     def test_huge_distance_keeps_only_the_top_extrema(self):

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keysched import (audiofeat, errors, evaluate, flow, ingest, motion, plot, refops,
                       schedule, selection)
@@ -119,6 +121,29 @@ def test_as_index_bounds():
     for value, lo, hi in ((3, 4, None), (5, 0, 5), (-1, 0, None)):
         with pytest.raises(errors.InvariantViolationError):
             errors.as_index(value, "n", lo=lo, hi=hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dtype=st.sampled_from(["int8", "uint8", "int32", "int64", "uint64"]), data=st.data())
+def test_as_indices_of_an_array_matches_the_entry_rule(dtype, data):
+    """The vectorized bounds check of an integer array gives the list, or
+    the class and message, of ``as_index`` on each entry in turn."""
+    info = np.iinfo(dtype)
+    entry = st.integers(max(info.min, -9), min(info.max, 300)) | st.integers(info.min, info.max)
+    values = np.array(data.draw(st.lists(entry, max_size=12)), dtype=dtype)
+    lo, hi = data.draw(st.none() | st.integers(-5, 5)), data.draw(st.none() | st.integers(-5, 300))
+
+    def outcome(call):
+        try:
+            return call()
+        except errors.InvariantViolationError as exc:
+            return str(exc)
+
+    want = outcome(lambda: [errors.as_index(v, "n", lo, hi) for v in values])
+    got = outcome(lambda: errors.as_indices(values, "n", lo, hi))
+    assert got == want and type(got) is type(want)
+    if isinstance(got, list):
+        assert all(type(i) is int for i in got)
 
 
 # entry point -> (call with the value under test, its shape, a value out of its bounds or None)
