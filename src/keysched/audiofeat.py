@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ClipTooShortError,
@@ -117,8 +118,7 @@ def mel_spectrogram(clip: AudioClip) -> MelSpectrogram:
     samples = clip.samples[:FRAMED_SAMPLES]
     n_frames = (samples.size - WINDOW_SIZE) // HOP_SIZE + 1
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW_SIZE) / WINDOW_SIZE)
-    starts = np.arange(n_frames) * HOP_SIZE
-    frames = samples[starts[:, None] + np.arange(WINDOW_SIZE)] * window
+    frames = sliding_window_view(samples, WINDOW_SIZE)[::HOP_SIZE] * window
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
     mel = np.log1p(mel_filterbank() @ power.T)
     return MelSpectrogram(values=np.pad(mel, ((0, 0), (0, TARGET_FRAMES - n_frames))))

@@ -334,21 +334,32 @@ def _fixed_rows(x: np.ndarray, d: int, end: str) -> str:
         fast = np.isfinite(y) & ~np.signbit(x) & (y < 2.0 ** 52) & (y - np.floor(y) != 0.5)
     if not fast.all():
         return "".join(",".join(format(v, f".{d}f") for v in row) + end for row in x.tolist())
-    whole, frac = np.divmod(np.rint(y).astype(np.int64), 10 ** d)
+    units = np.rint(y).astype(np.int64)
+    whole = units // 10 ** d
+    # in place: one int64 temporary fewer; with it, a loop of mel writes gave
+    # the heap's top back to the OS and faulted it in again on every call
+    frac = units
+    frac -= whole * 10 ** d
     wi = len(str(whole.max()))
     # per value: wi integer digits, the point, d fraction digits, a comma
     chars = np.empty((*x.shape, wi + d + 2), dtype=np.uint8)
 
     def put_digits(value, start, stop):
-        # in the narrowest dtype that holds it, where dividing by 10 is cheapest
+        # in the narrowest dtype that holds it, each digit is value - 10 * tens
+        # with tens = value // 10: NumPy's floor_divide by a scalar is several
+        # times faster than its divmod. tens * 10 <= value, so no product
+        # overflows, and only the digit is cast into the uint8 column
         value = value.astype(np.min_scalar_type(value.max()))
-        digit = np.empty_like(value)
+        tens, product = np.empty_like(value), np.empty_like(value)
         for k in range(stop - 1, start - 1, -1):
-            np.divmod(value, 10, out=(value, digit))
-            np.add(digit, ord("0"), out=chars[:, :, k], casting="unsafe")
+            np.floor_divide(value, 10, out=tens)
+            np.multiply(tens, 10, out=product)
+            np.subtract(value, product, out=chars[:, :, k], casting="unsafe")
+            value, tens = tens, value
 
     put_digits(whole, 0, wi)
     put_digits(frac, wi + 1, wi + 1 + d)
+    chars += ord("0")
     chars[:, :, wi] = ord(".")
     chars[:, :, -1] = ord(",")
     chars[:, -1, -1] = ord(end)

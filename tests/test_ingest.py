@@ -513,6 +513,39 @@ class TestFixedText:
                 assert [row.split(",") for row in got] == [
                     [format(x, f".{d}f") for x in row] for row in table.tolist()]
 
+    EDGES = [9, 10, 255, 256, 65535, 65536, 2 ** 32 - 1, 2 ** 32]
+
+    @pytest.mark.parametrize("d", [1, 2, 9, 18])
+    def test_narrow_dtype_edges_match_format(self, d, monkeypatch):
+        """Whole parts and fractions on each side of the edges where the
+        narrowest dtype of ``put_digits`` changes (uint8, uint16, uint32,
+        uint64), and values just under 2**52 / 10**d, all written by the digit
+        matrix. The largest entry of a table picks the dtype, so each table's
+        largest whole part or fraction sits on one edge."""
+        scale = 10 ** d
+        tables = []
+        for edge in self.EDGES:
+            if (edge + 1) * scale < 2 ** 52:  # whole parts edge - 1 and edge, fractions at both ends
+                tables.append([[edge + (scale - 1) / scale, edge - 1 + 1 / scale], [float(edge), 0.0]])
+            if edge < scale:  # a fraction of edge units, and whole part 0
+                tables.append([[edge / scale, 1 / scale], [0.0, (edge - 1) / scale]])
+        top = 2.0 ** 52 / scale
+        near_top = []
+        while len(near_top) < 4:
+            top = np.nextafter(top, 0.0)
+            y = top * scale
+            if y < 2.0 ** 52 and y - math.floor(y) != 0.5:
+                near_top.append(float(top))
+        tables.append([near_top[:2], near_top[2:]])
+        wants = ["".join(",".join(format(v, f".{d}f") for v in row) + "\n" for row in table)
+                 for table in tables]
+
+        def no_format(*args):
+            raise AssertionError("fixed_text called format")
+
+        monkeypatch.setattr(ingest, "format", no_format, raising=False)
+        assert [ingest.fixed_text(table, d) for table in tables] == wants
+
     def test_mel_and_plot_never_reach_format(self, monkeypatch):
         """A seeded 128 x 196 mel and the tables of a 24 000-point plot hold
         no value the digit matrix cannot write, so no block goes to ``format``."""
