@@ -4,13 +4,18 @@ smooth(): centered moving average with boundary truncation.
 normalize(): per-clip min-max scaling to [0, 1]; a range below FLAT_RANGE is flat.
 detect_extrema(): the one extrema detector. Peaks are local maxima filtered by
 topographic prominence and a minimum inter-peak distance; valleys are the
-peaks of the exactly negated curve. Prominences are exact and take linear time
-in the worst case: vectorized peeling rounds settle most peaks (each round
-drops every peak lower than both of its neighbouring peaks, which fixes its
-two bases), and a monotonic stack finishes the peaks that remain. The kept
-peaks' prominences, which downstream peak ranking uses, come from the same pass.
-The distance filter visits the k candidates highest first, and each peak it
-keeps marks out every candidate within the distance: O(k log k) in all.
+peaks of the exactly negated curve. One pass finds the exact prominences of
+both sides, in linear time in the worst case: the peaks of the curve, a +inf
+peak (no round drops it, so it is the end wall of both sides) and the peaks
+of the negated curve form one row. One reduceat first drops every peak whose
+height above the floor (the curve's minimum; minus its maximum on the negated
+side) rounds below min_prominence. That is exact: no base lies under the
+floor, so such a peak fails the filter anyway, and a kept peak's nearest
+higher peak is kept, so its bases stay. Vectorized peeling rounds then settle
+most peaks (each drops every peak lower than both neighbouring peaks, which
+fixes its two bases), and a monotonic stack finishes the rest. The distance
+filter visits the k candidates highest first, and each peak it keeps marks
+out every candidate within the distance: O(k log k) in all.
 detect_peaks() / detect_valleys(): one side of detect_extrema().
 peak_prominences(): exact prominence of any index (0.0 off a peak plateau),
 for extrema that carry no prominences.
@@ -110,10 +115,14 @@ def smooth(curve: MotionCurve, window: int = DEFAULT_SMOOTH_WINDOW) -> MotionCur
         csum = np.cumsum(x)
     scale = float(1 << (n - 1).bit_length()) if np.isinf(csum[-1]) else 1.0  # exact for normals
     csum = np.concatenate(([0.0], csum if scale == 1.0 else np.cumsum(x / scale)))
-    idx = np.arange(n)
+    w = 2 * half + 1
+    mean = np.empty(n)
+    if w <= n:  # whole windows, by slices: the same operands, so the same bytes
+        mean[half:n - half] = (csum[w:] - csum[:n + 1 - w]) / w
+    idx = np.concatenate((np.arange(half), np.arange(max(half, n - half), n)))
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half, n - 1)
-    mean = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    mean[idx] = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
     if scale != 1.0:  # a mean of rounded prefix sums can exceed max / scale
         mean = np.minimum(mean, x.max() / scale)
     return MotionCurve(mean * scale, stage=STAGE_SMOOTHED)
@@ -148,66 +157,91 @@ def _stack_bases(heights: list[float], gaps: list[float]) -> list[float]:
     return out
 
 
-def _run_prominences(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start index of each run of equal values in ``x``, and each run's prominence.
+def _prominences(x: np.ndarray, min_prominence: float = 0.0) -> tuple:
+    """Start index of each run of equal values in ``x``, then for the peaks of
+    ``x`` and then those of ``-x``: their runs, heights and prominences.
 
-    Topographic prominence: from the run, each side's minimum up to strictly
-    higher terrain or the array end, and the height above the higher of the
-    two. A local-maximum run (both neighbours strictly lower) has prominence
-    > 0; every other run, the array ends included, has exactly 0.
+    A peak is a run whose neighbours are both strictly lower (so never an end
+    run). Its topographic prominence: from the run, each side's minimum up to
+    strictly higher terrain or the array end, and the height above the higher
+    of the two; it is > 0. A peak whose height above the floor (the minimum
+    of ``x``; on ``-x``, minus its maximum) rounds below ``min_prominence``
+    gets 0 instead: no base lies below the floor and rounding is monotone, so
+    its prominence would round below it too.
 
     Strictly higher terrain beside a peak rises to a strictly higher peak, so
     a side's base is the minimum of the gaps (terrain minima between
     neighbouring peaks, the array ends included) back to the nearest strictly
-    higher peak, or to the end. Peeling rounds find most bases in whole-array
-    passes: a peak strictly lower than both current neighbours has them as
-    its nearest strictly higher peaks, so it takes the gap on each side as
-    that side's base, the two gaps merge by ``min`` and the peak is dropped.
-    A dropped peak is never the nearest strictly higher peak of one that
-    remains, so later rounds stay exact. Once a round drops under 1/8 of the
-    peaks left (ascending or V-shaped teeth lose one per round), or few are
-    left, a monotonic stack over (height, gap) pairs finishes, so the worst
-    case stays linear. Only comparisons and ``min`` run before the one
-    subtraction per peak, so no value is rounded.
+    higher peak, or to the end. The peaks of ``x``, one ``+inf`` peak, which
+    stands for the ends of both sides, and the peaks of ``-x`` make one row.
+    The peaks under the floor go first, their gaps merging by ``min``; a kept
+    peak's nearest strictly higher peak is higher above the floor, so it is
+    kept and the bases do not change. Peeling rounds find most other bases in
+    whole-array passes: a peak strictly lower than both current neighbours
+    has them as its nearest strictly higher peaks, so it takes the gap on each
+    side as that side's base, the two gaps merge by ``min`` and the peak is
+    dropped. A dropped peak is never the nearest strictly higher peak of one
+    that remains, so later rounds stay exact. Once a round drops under 1/8 of
+    the peaks left (ascending or V-shaped teeth lose one per round), or few
+    are left, a monotonic stack over (height, gap) pairs finishes, so the
+    worst case stays linear. Only comparisons, ``min`` and ``max`` run before
+    the one subtraction per peak, and negation is exact, so no value is rounded.
     """
     first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    v = x[first]
-    prom = np.zeros(v.size)
-    # Behind infinite walls at both ends, peaks and minima alternate and a
-    # minimum comes first and last. Neighbouring runs are never equal, so a
-    # run higher than neither neighbour is a minimum, and the minima are the
-    # gaps: the terrain minimum before each peak, plus the one after the last.
-    walled = np.concatenate(([np.inf], v, [np.inf]))
-    rise, fall = v > walled[:-2], v > walled[2:]
-    pk = np.flatnonzero(rise & fall)
-    if pk.size == 0:
-        return first, prom
-    gaps = v[~(rise | fall)]
-    left = np.empty(pk.size)
-    right = np.empty(pk.size)
-    alive = np.arange(pk.size)
-    heights = v[pk]
+    v = x if first.size == x.size else x[first]
+    if v.size < 3:  # no interior run, so no peak on either side
+        empty = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0))
+        return first, empty, empty
+    # Neighbouring runs are never equal, so the runs where the curve turns,
+    # with both ends, alternate between minima and maxima of x. Behind
+    # infinite walls at both ends, the interior maxima are the peaks of x and
+    # all the minima its gaps: the terrain minimum before each peak, plus the
+    # one after the last. On -x the two roles swap.
+    up = v[1:] > v[:-1]
+    turn = np.concatenate(([0], np.flatnonzero(up[:-1] != up[1:]) + 1, [v.size - 1]))
+    tv = v[turn]
+    s = int(not up[0])  # 1 when the first turning run, the start, is a maximum
+    pk, vk = turn[1 + s:-1:2], turn[2 - s:-1:2]
+    hp, hv = tv[1 + s:-1:2], -tv[2 - s:-1:2]
+    top = np.concatenate((hp, [np.inf], hv))
+    gaps = np.concatenate((tv[s::2], -tv[1 - s::2]))
+    base = top.copy()  # a pruned peak keeps base = height: prominence 0
+    alive, heights = np.arange(top.size), top
+    if min_prominence > 0:  # the floors are min(x) and -max(x); h - -max is h + max
+        keep = np.concatenate((hp - tv.min() >= min_prominence, [True],
+                               hv + tv.max() >= min_prominence))
+        if not keep.all():
+            alive = np.flatnonzero(keep)
+            gaps = np.minimum.reduceat(gaps, np.concatenate(([0], alive + 1)))
+            heights = top[alive]
     while alive.size > _PEEL_MIN_PEAKS:
         walls = np.concatenate(([np.inf], heights, [np.inf]))
         drop = (heights < walls[:-2]) & (heights < walls[2:])
         d = np.flatnonzero(drop)
-        before, after = gaps[d], gaps[d + 1]
-        left[alive[d]] = before
-        right[alive[d]] = after
+        d1, gone = d + 1, alive[d]
+        before, after = gaps[d], gaps[d1]
+        base[gone] = np.maximum(before, after)
         # dropped peaks are never neighbours, so the merged gap can take the
         # place of the one after each dropped peak
-        gaps[d + 1] = np.minimum(before, after)
-        keep = ~drop
-        gaps = np.concatenate((gaps[:-1][keep], gaps[-1:]))
+        gaps[d1] = np.minimum(before, after)
+        keep = np.flatnonzero(~drop)
+        gaps = np.concatenate((gaps[keep], gaps[-1:]))
         alive, heights = alive[keep], heights[keep]
         if 8 * d.size < drop.size:
             break
-    # the highest peak is never dropped, so the stack always has peaks left
+    # the +inf peak is never dropped, so the stack always has peaks left
     h, g = heights.tolist(), gaps.tolist()
-    left[alive] = _stack_bases(h, g[:-1])
-    right[alive] = _stack_bases(h[::-1], g[:0:-1])[::-1]
-    prom[pk] = v[pk] - np.maximum(left, right)
-    return first, prom
+    base[alive] = np.maximum(_stack_bases(h, g[:-1]), _stack_bases(h[::-1], g[:0:-1])[::-1])
+    return first, (pk, hp, hp - base[:pk.size]), (vk, hv, hv - base[pk.size + 1:])
+
+
+def _run_prominences(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start index of each run of equal values in ``x``, and each run's
+    prominence on ``x`` and on ``-x``: 0 for every run but a peak."""
+    first, (pk, _, pp), (vk, _, vp) = _prominences(x)
+    prom, vprom = np.zeros(first.size), np.zeros(first.size)
+    prom[pk], vprom[vk] = pp, vp
+    return first, prom, vprom
 
 
 def peak_prominences(curve: MotionCurve, indices: list[int]) -> list[float]:
@@ -218,21 +252,24 @@ def peak_prominences(curve: MotionCurve, indices: list[int]) -> list[float]:
     """
     x = curve.values
     indices = as_indices(indices, "indices", hi=x.size)
-    first, prom = _run_prominences(x)
+    first, prom, _ = _run_prominences(x)
     runs = np.searchsorted(first, np.asarray(indices, dtype=np.int64), side="right") - 1
     return prom[runs].tolist()
 
 
-def _peaks(x: np.ndarray, distance: int, prominence: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kept peak indices of ``x`` and their prominences; see ``detect_extrema``."""
-    first, prom = _run_prominences(x)
-    survives = (prom > 0) & (prom >= prominence)
-    cands, cand_prom = first[survives], prom[survives]
-    d = min(distance, x.size)  # any d >= n keeps one peak, and keeps cands - d in int64
+def _peaks(first: np.ndarray, side: tuple, distance: int,
+           prominence: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kept peak indices of one side of ``_prominences`` and their prominences;
+    see ``detect_extrema``."""
+    runs, heights, prom = side
+    survives = prom >= prominence  # a peak's prominence is > 0 unless the floor rule set it to 0
+    cands, cand_prom = first[runs[survives]], prom[survives]
+    # any d past the last index keeps one peak, and keeps cands - d in int64
+    d = min(distance, int(first[-1]) + 1)
     lo = np.searchsorted(cands, cands - d, "right").tolist()
     hi = np.searchsorted(cands, cands + d, "left").tolist()
     keep = [True] * cands.size
-    for j in np.argsort(-x[cands], kind="stable").tolist():
+    for j in np.argsort(-heights[survives], kind="stable").tolist():
         if keep[j]:  # no higher peak, nor an earlier one as high, was kept within d
             keep[lo[j]:hi[j]] = [False] * (hi[j] - lo[j])
             keep[j] = True
@@ -247,7 +284,7 @@ def detect_extrema(
     """Peaks and valleys of a normalized curve, with the peaks' prominences.
 
     Peak candidates are interior local maxima (leftmost index of a plateau),
-    found with their prominences by ``_run_prominences`` in linear time. They
+    found with their prominences by ``_prominences`` in linear time. They
     are filtered to prominence >= ``min_prominence``, then thinned so any two
     survivors sit >= ``min_distance`` apart, keeping higher peaks first and
     breaking height ties toward the lower index. Valleys are the peaks of
@@ -258,8 +295,9 @@ def detect_extrema(
     min_prominence = float(as_floats(min_prominence, "min_prominence", lo=0.0))
     if curve.stage != STAGE_NORMALIZED:
         raise NotNormalizedError("extrema detection requires a normalized curve")
-    peaks, prominences = _peaks(curve.values, min_distance, min_prominence)
-    valleys = _peaks(-curve.values, min_distance, min_prominence)[0]
+    first, peak_side, valley_side = _prominences(curve.values, min_prominence)
+    peaks, prominences = _peaks(first, peak_side, min_distance, min_prominence)
+    valleys = _peaks(first, valley_side, min_distance, min_prominence)[0]
     return Extrema(peaks=peaks, valleys=valleys, prominences=prominences)
 
 

@@ -15,6 +15,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     BadIntervalError,
     InconsistentExtremaError,
@@ -105,7 +107,7 @@ def choose_peaks(
     if len(peaks) == 0:  # the reals rule rejects empty prominences
         return []
     peaks = as_indices(peaks, "peaks")
-    prominences = as_floats(prominences, "prominences", 1, lo=0.0).tolist()
+    prominences = as_floats(prominences, "prominences", 1, lo=0.0)
     mode = params.mode if params is not None else MODE_BY_PROMINENCE
     if mode == MODE_SEEDED_RANDOM:
         state = params.seed & _MASK64
@@ -114,8 +116,8 @@ def choose_peaks(
             i = z % (j + 1)
             peaks[i], peaks[j] = peaks[j], peaks[i]
         return sorted(peaks[:limit])
-    ranked = sorted(range(len(peaks)), key=lambda i: (-prominences[i], peaks[i]))
-    return sorted(peaks[i] for i in ranked[:limit])
+    ranked = np.lexsort((peaks, -prominences))[:limit]  # the last key sorts first
+    return sorted(peaks[i] for i in ranked.tolist())
 
 
 def valley_between(curve: MotionCurve, extrema: Extrema, p1: int, p2: int) -> int | None:
@@ -131,8 +133,10 @@ def valley_between(curve: MotionCurve, extrema: Extrema, p1: int, p2: int) -> in
     if p2 - p1 < 2:
         return None
     valleys = extrema.valleys
-    inside = valleys[bisect_right(valleys, p1):bisect_left(valleys, p2)] or range(p1 + 1, p2)
-    return min(inside, key=lambda v: (curve.values[v], v))
+    inside = valleys[bisect_right(valleys, p1):bisect_left(valleys, p2)]
+    if not inside:
+        return p1 + 1 + int(np.argmin(curve.values[p1 + 1:p2]))
+    return inside[int(np.argmin(curve.values[inside]))]  # the first minimum: the lowest index
 
 
 def _largest_remainder(weights: list[int], total: int) -> list[int]:

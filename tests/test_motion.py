@@ -1,7 +1,6 @@
 import sys
 import time
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -241,8 +240,9 @@ class TestLocalMaximaAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(values=curve_values)
     def test_plateau_handling(self, values):
-        first, prom = motion._run_prominences(np.array(values))
+        first, prom, vprom = motion._run_prominences(np.array(values))
         assert first[prom > 0].tolist() == plateau_peaks_oracle(values)
+        assert first[vprom > 0].tolist() == plateau_peaks_oracle([-v for v in values])
 
 
 # integer-valued and 2-decimal curves: long plateaus and exact ties
@@ -333,18 +333,121 @@ class TestPeelingAgainstStackOracle:
     @example(values=teeth(np.abs(np.arange(-150, 150)) + 1))
     def test_bytes_match_stack_oracle(self, values):
         x = np.asarray(values, dtype=float)
-        first, prom = motion._run_prominences(x)
+        first, prom, vprom = motion._run_prominences(x)
         oracle_first, oracle_prom = run_prominences_oracle(x)
         assert first.tobytes() == oracle_first.tobytes()
         assert prom.tobytes() == oracle_prom.tobytes()
+        assert vprom.tobytes() == run_prominences_oracle(-x)[1].tobytes()
         curve = motion.normalize(motion.MotionCurve(x))
-        indices = list(range(x.size))
-        ours = motion.peak_prominences(curve, indices), motion.detect_extrema(curve)
-        with mock.patch.object(motion, "_run_prominences", run_prominences_oracle):
-            theirs = motion.peak_prominences(curve, indices), motion.detect_extrema(curve)
-        assert np.array(ours[0]).tobytes() == np.array(theirs[0]).tobytes()
-        assert (ours[1].peaks, ours[1].valleys) == (theirs[1].peaks, theirs[1].valleys)
-        assert np.array(ours[1].prominences).tobytes() == np.array(theirs[1].prominences).tobytes()
+        y = curve.values
+        y_first, y_prom = run_prominences_oracle(y)
+        per_index = np.repeat(y_prom, np.diff(np.append(y_first, y.size)))
+        ours = motion.peak_prominences(curve, list(range(y.size)))
+        assert np.array(ours).tobytes() == per_index.tobytes()
+        for min_prominence in (0.0, motion.DEFAULT_MIN_PROMINENCE, 0.3):
+            extrema = motion.detect_extrema(curve, motion.DEFAULT_MIN_DISTANCE, min_prominence)
+            peaks, proms = peaks_sorted_list_oracle(y, motion.DEFAULT_MIN_DISTANCE, min_prominence)
+            valleys = peaks_sorted_list_oracle(-y, motion.DEFAULT_MIN_DISTANCE, min_prominence)[0]
+            assert (extrema.peaks, extrema.valleys) == (peaks, valleys)
+            assert np.array(extrema.prominences).tobytes() == np.array(proms).tobytes()
+
+
+def assert_prune_exact(x, min_prominence):
+    """``_prominences`` against the stack oracle: every peak above the floor
+    rule gets its exact prominence, and only peaks whose height above the
+    floor rounds below ``min_prominence`` get 0, when their prominence is
+    below it too."""
+    x = np.asarray(x, dtype=float)
+    first, *halves = motion._prominences(x, min_prominence)
+    oracle_first = run_prominences_oracle(x)[0]
+    assert first.tobytes() == oracle_first.tobytes()
+    for side, (runs, heights, prom) in zip((x, -x), halves):
+        exact = run_prominences_oracle(side)[1]
+        assert runs.tolist() == np.flatnonzero(exact > 0).tolist()
+        assert heights.tobytes() == side[first[runs]].tobytes()
+        exact = exact[runs]
+        pruned = heights - side.min() < min_prominence
+        assert prom[~pruned].tobytes() == exact[~pruned].tobytes()
+        assert not prom[pruned].any()
+        assert (exact[pruned] < min_prominence).all()
+    return halves
+
+
+def floor_and_peak():
+    """A floor in [0.25, 0.5] and a height in (floor, 2 * floor], two ulps or
+    more apart; their difference is exact (Sterbenz), and so is it one ulp off."""
+    return st.floats(0.25, 0.5).flatmap(lambda lo: st.tuples(st.just(lo), st.floats(
+        lo, 2 * lo).filter(lambda h: lo < np.nextafter(h, -np.inf) and np.nextafter(lo, np.inf) < h)))
+
+
+class TestFloorPrune:
+    @settings(max_examples=100, deadline=None)
+    @given(pair=floor_and_peak(), count=st.integers(0, 200))
+    def test_peak_at_the_boundary_is_kept_and_one_ulp_below_dropped(self, pair, count):
+        lo, h = pair
+        min_prominence = h - lo
+        below = np.nextafter(h, -np.inf)
+        # low teeth, under the floor rule, before and between the two peaks
+        low_teeth = [lo, lo + min_prominence / 4] * count
+        x = np.array(low_teeth + [lo, h] + low_teeth + [lo, below, lo])
+        (runs, _, prom), _ = assert_prune_exact(x, min_prominence)
+        first = motion._prominences(x)[0]
+        at = dict(zip(first[runs].tolist(), prom.tolist()))
+        assert at[2 * count + 1] == min_prominence
+        assert at[x.size - 2] == 0.0
+        assert motion.peak_prominences(motion.MotionCurve(x), [x.size - 2]) == [below - lo]
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=floor_and_peak())
+    def test_valley_at_the_boundary_is_kept_and_one_ulp_above_dropped(self, pair):
+        lo, hi = pair
+        min_prominence = hi - lo  # the valley at lo stands that high over -hi on -x
+        above = np.nextafter(lo, np.inf)
+        x = np.array([hi, lo, hi, above, hi])
+        _, (runs, _, prom) = assert_prune_exact(x, min_prominence)
+        assert runs.tolist() == [1, 3]
+        assert prom.tolist() == [min_prominence, 0.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(gaps=st.lists(st.floats(0.05, 0.2), min_size=1, max_size=300),
+           kept=st.floats(0.6, 0.9), min_prominence=st.floats(0.3, 0.5))
+    def test_kept_peak_sees_its_higher_peak_across_dropped_ones(self, gaps, kept, min_prominence):
+        # 1.0, then teeth of height 0.25 (pruned) over the given gaps, then the
+        # kept peak, whose left base is the lowest of those gaps; the floor 0
+        # is the right end
+        x = [0.0, 1.0]
+        for g in gaps:
+            x += [g, 0.25]
+        x += [gaps[-1] / 2, kept, 0.0]
+        (_, _, prom), _ = assert_prune_exact(x, min_prominence)
+        assert prom[-1] == kept - min(gaps[-1] / 2, *gaps)
+        assert np.count_nonzero(prom) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=long_curves)
+    def test_out_of_range_prunes_everything_and_zero_nothing(self, values):
+        x = np.asarray(values, dtype=float)
+        for _, _, prom in assert_prune_exact(x, np.ptp(x) + 0.5):
+            assert not prom.any()
+        for _, _, prom in assert_prune_exact(x, 0.0):
+            assert (prom > 0).all()
+        curve = motion.normalize(motion.MotionCurve(x))
+        assert motion.detect_extrema(curve, 1, 1.5) == motion.Extrema(prominences=[])
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=plateau_values, min_prominence=st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
+    @example(values=[0], min_prominence=0.1)
+    @example(values=[0, 1], min_prominence=0.1)
+    @example(values=[3, 3], min_prominence=0.0)
+    def test_plateaus_and_short_curves(self, values, min_prominence):
+        assert_prune_exact(values, min_prominence)
+        curve = motion.normalize(motion.MotionCurve(np.array(values, dtype=float)))
+        x = curve.values.tolist()
+        extrema = motion.detect_extrema(curve, 1, min_prominence)
+        assert extrema.peaks == detect_peaks_oracle(x, 1, min_prominence)
+        assert extrema.valleys == detect_peaks_oracle([-v for v in x], 1, min_prominence)
+        if len(values) < 3:
+            assert extrema == motion.Extrema(prominences=[])
 
 
 def smoothed_noise(size, seed):
@@ -365,8 +468,9 @@ class TestDistanceFilterAgainstSortedList:
     @example(values=teeth([1, 2] * 20), distance=5, prominence=0.1)  # ties an unstable sort moves
     def test_peaks_match_oracle(self, values, distance, prominence):
         x = np.asarray(values, dtype=float)
-        for side in (x, -x):
-            peaks, prominences = motion._peaks(side, distance, prominence)
+        first, *halves = motion._prominences(x, prominence)
+        for side, half in zip((x, -x), halves):
+            peaks, prominences = motion._peaks(first, half, distance, prominence)
             assert (peaks.dtype, prominences.dtype) == (np.int64, np.float64)
             assert (peaks.tolist(), prominences.tolist()) == \
                 peaks_sorted_list_oracle(side, distance, prominence)

@@ -81,6 +81,21 @@ class TestValleyBetween:
             assert selection.valley_between(curve, extrema, p1, p2) == expected
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_argmin_matches_the_key_min_on_tied_values(self, data):
+        values = data.draw(st.lists(st.integers(0, 3), min_size=3, max_size=60))
+        curve = normalized([v / 3 for v in values])
+        total = len(values)
+        valleys = sorted(data.draw(st.lists(st.integers(0, total - 1), unique=True)))
+        p1 = data.draw(st.integers(0, total - 2))
+        p2 = data.draw(st.integers(p1 + 1, total - 1))
+        inside = [v for v in valleys if p1 < v < p2] or range(p1 + 1, p2)
+        x = curve.values
+        expected = min(inside, key=lambda v: (x[v], v)) if p2 - p1 >= 2 else None
+        assert selection.valley_between(curve, motion.Extrema(valleys=valleys), p1, p2) == expected
+
+
 class TestChoosePeaks:
     def test_fewer_than_limit_returns_all(self):
         assert selection.choose_peaks([5, 9], [0.3, 0.2], 5) == [5, 9]
@@ -110,6 +125,17 @@ class TestChoosePeaks:
             for seed in range(8)
         }
         assert len(draws) > 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_lexsort_matches_the_key_sort_on_tied_prominences(self, data):
+        peaks = data.draw(st.lists(st.integers(0, 1000) | st.integers(2**63, 2**70),
+                                   unique=True, max_size=60))
+        proms = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+                                   min_size=len(peaks), max_size=len(peaks)))
+        limit = data.draw(st.integers(0, len(peaks) + 2))
+        ranked = sorted(range(len(peaks)), key=lambda i: (-proms[i], peaks[i]))
+        assert selection.choose_peaks(peaks, proms, limit) == sorted(peaks[i] for i in ranked[:limit])
 
 
 class TestSelectKeyframes:
