@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from keysched import errors, motion
@@ -193,9 +193,21 @@ class TestDetectPeaks:
     @example(values=[0.0, 1.4e-45, 0.0], scale=1.0, offset=1.0)
     def test_invariant_under_positive_affine_transform(self, values, scale, offset):
         raw = np.array(values)
+        moved = raw * scale + offset
+        # Rounding ``raw * scale + offset`` can make two neighbours equal (or
+        # move the range across FLAT_RANGE); the input is then another curve.
+        assume(np.array_equal(np.sign(np.diff(raw)), np.sign(np.diff(moved))))
+        assume((np.ptp(raw) < motion.FLAT_RANGE) == (np.ptp(moved) < motion.FLAT_RANGE))
         plain = motion.detect_peaks(motion.normalize(motion.MotionCurve(raw)))
-        mapped = motion.detect_peaks(motion.normalize(motion.MotionCurve(raw * scale + offset)))
+        mapped = motion.detect_peaks(motion.normalize(motion.MotionCurve(moved)))
         assert plain == mapped
+
+    def test_transform_that_merges_neighbours_reports_the_plateau(self):
+        raw = np.array([0.0, 99.99999999999999, 100.0, 0.0])
+        assert motion.detect_peaks(motion.normalize(motion.MotionCurve(raw))) == [2]
+        moved = raw * 0.1
+        assert moved[1] == moved[2]
+        assert motion.detect_peaks(motion.normalize(motion.MotionCurve(moved))) == [1]
 
 
 class TestDetectValleys:
