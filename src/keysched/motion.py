@@ -4,18 +4,19 @@ smooth(): centered moving average with boundary truncation.
 normalize(): per-clip min-max scaling to [0, 1]; a range below FLAT_RANGE is flat.
 detect_extrema(): the one extrema detector. Peaks are local maxima filtered by
 topographic prominence and a minimum inter-peak distance; valleys are the
-peaks of the exactly negated curve. One pass finds the exact prominences of
-both sides, in linear time in the worst case: the peaks of the curve, a +inf
-peak (no round drops it, so it is the end wall of both sides) and the peaks
-of the negated curve form one row. One reduceat first drops every peak whose
+peaks of the exactly negated curve. Both sides share one set-up: the runs
+where the curve turns alternate between minima and maxima, so each side's
+peaks and gaps are strided slices of them. Prominences are exact and take
+linear time in the worst case. First the floor rule drops every peak whose
 height above the floor (the curve's minimum; minus its maximum on the negated
-side) rounds below min_prominence. That is exact: no base lies under the
-floor, so such a peak fails the filter anyway, and a kept peak's nearest
-higher peak is kept, so its bases stay. Vectorized peeling rounds then settle
-most peaks (each drops every peak lower than both neighbouring peaks, which
-fixes its two bases), and a monotonic stack finishes the rest. The distance
-filter visits the k candidates highest first, and each peak it keeps marks
-out every candidate within the distance: O(k log k) in all.
+side) rounds below min_prominence, merging its gaps in one reduceat. That is
+exact: no base lies under the floor, so such a peak fails the filter anyway,
+and a kept peak's nearest higher peak is kept, so its bases stay. Vectorized
+peeling rounds then settle most peaks (each drops every peak lower than both
+neighbouring peaks, which fixes its two bases), and a monotonic stack
+finishes the rest. The distance filter visits the k candidates highest
+first, and each peak it keeps marks out every candidate within the
+distance: O(k log k) in all.
 detect_peaks() / detect_valleys(): one side of detect_extrema().
 peak_prominences(): exact prominence of any index (0.0 off a peak plateau),
 for extrema that carry no prominences.
@@ -157,63 +158,34 @@ def _stack_bases(heights: list[float], gaps: list[float]) -> list[float]:
     return out
 
 
-def _prominences(x: np.ndarray, min_prominence: float = 0.0) -> tuple:
-    """Start index of each run of equal values in ``x``, then for the peaks of
-    ``x`` and then those of ``-x``: their runs, heights and prominences.
+def _bases(heights: np.ndarray, gaps: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each peak's base: the higher of its two sides' minima up to strictly
+    higher terrain, or ``heights`` where ``keep`` is False.
 
-    A peak is a run whose neighbours are both strictly lower (so never an end
-    run). Its topographic prominence: from the run, each side's minimum up to
-    strictly higher terrain or the array end, and the height above the higher
-    of the two; it is > 0. A peak whose height above the floor (the minimum
-    of ``x``; on ``-x``, minus its maximum) rounds below ``min_prominence``
-    gets 0 instead: no base lies below the floor and rounding is monotone, so
-    its prominence would round below it too.
-
+    ``gaps[j]`` is the terrain minimum just before peak ``j``, and the last
+    one the minimum after the last peak, behind infinite walls at both ends.
     Strictly higher terrain beside a peak rises to a strictly higher peak, so
-    a side's base is the minimum of the gaps (terrain minima between
-    neighbouring peaks, the array ends included) back to the nearest strictly
-    higher peak, or to the end. The peaks of ``x``, one ``+inf`` peak, which
-    stands for the ends of both sides, and the peaks of ``-x`` make one row.
-    The peaks under the floor go first, their gaps merging by ``min``; a kept
-    peak's nearest strictly higher peak is higher above the floor, so it is
+    a side's base is the minimum of the gaps back to the nearest strictly
+    higher peak, or to the end. The peaks not kept go first, their gaps
+    merging by ``min``; ``keep`` holds every peak higher than one it holds,
+    as the floor rule's does, so a kept peak's nearest strictly higher peak is
     kept and the bases do not change. Peeling rounds find most other bases in
     whole-array passes: a peak strictly lower than both current neighbours
     has them as its nearest strictly higher peaks, so it takes the gap on each
     side as that side's base, the two gaps merge by ``min`` and the peak is
     dropped. A dropped peak is never the nearest strictly higher peak of one
-    that remains, so later rounds stay exact. Once a round drops under 1/8 of
-    the peaks left (ascending or V-shaped teeth lose one per round), or few
-    are left, a monotonic stack over (height, gap) pairs finishes, so the
-    worst case stays linear. Only comparisons, ``min`` and ``max`` run before
-    the one subtraction per peak, and negation is exact, so no value is rounded.
+    that remains, and the highest peak always remains, so later rounds stay
+    exact. Once a round drops under 1/8 of the peaks left (ascending or
+    V-shaped teeth lose one per round), or few are left, a monotonic stack over
+    (height, gap) pairs finishes, so the worst case stays linear.
     """
-    first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    v = x if first.size == x.size else x[first]
-    if v.size < 3:  # no interior run, so no peak on either side
-        empty = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0))
-        return first, empty, empty
-    # Neighbouring runs are never equal, so the runs where the curve turns,
-    # with both ends, alternate between minima and maxima of x. Behind
-    # infinite walls at both ends, the interior maxima are the peaks of x and
-    # all the minima its gaps: the terrain minimum before each peak, plus the
-    # one after the last. On -x the two roles swap.
-    up = v[1:] > v[:-1]
-    turn = np.concatenate(([0], np.flatnonzero(up[:-1] != up[1:]) + 1, [v.size - 1]))
-    tv = v[turn]
-    s = int(not up[0])  # 1 when the first turning run, the start, is a maximum
-    pk, vk = turn[1 + s:-1:2], turn[2 - s:-1:2]
-    hp, hv = tv[1 + s:-1:2], -tv[2 - s:-1:2]
-    top = np.concatenate((hp, [np.inf], hv))
-    gaps = np.concatenate((tv[s::2], -tv[1 - s::2]))
-    base = top.copy()  # a pruned peak keeps base = height: prominence 0
-    alive, heights = np.arange(top.size), top
-    if min_prominence > 0:  # the floors are min(x) and -max(x); h - -max is h + max
-        keep = np.concatenate((hp - tv.min() >= min_prominence, [True],
-                               hv + tv.max() >= min_prominence))
-        if not keep.all():
-            alive = np.flatnonzero(keep)
-            gaps = np.minimum.reduceat(gaps, np.concatenate(([0], alive + 1)))
-            heights = top[alive]
+    base = heights.copy()
+    alive = np.flatnonzero(keep)
+    if alive.size < keep.size:
+        gaps = np.minimum.reduceat(gaps, np.concatenate(([0], alive + 1)))
+        heights = heights[alive]
+    else:
+        gaps = gaps.copy()  # the rounds below merge gaps in place
     while alive.size > _PEEL_MIN_PEAKS:
         walls = np.concatenate(([np.inf], heights, [np.inf]))
         drop = (heights < walls[:-2]) & (heights < walls[2:])
@@ -224,24 +196,57 @@ def _prominences(x: np.ndarray, min_prominence: float = 0.0) -> tuple:
         # dropped peaks are never neighbours, so the merged gap can take the
         # place of the one after each dropped peak
         gaps[d1] = np.minimum(before, after)
-        keep = np.flatnonzero(~drop)
-        gaps = np.concatenate((gaps[keep], gaps[-1:]))
-        alive, heights = alive[keep], heights[keep]
+        rest = np.flatnonzero(~drop)
+        gaps = np.concatenate((gaps[rest], gaps[-1:]))
+        alive, heights = alive[rest], heights[rest]
         if 8 * d.size < drop.size:
             break
-    # the +inf peak is never dropped, so the stack always has peaks left
     h, g = heights.tolist(), gaps.tolist()
     base[alive] = np.maximum(_stack_bases(h, g[:-1]), _stack_bases(h[::-1], g[:0:-1])[::-1])
-    return first, (pk, hp, hp - base[:pk.size]), (vk, hv, hv - base[pk.size + 1:])
+    return base
 
 
-def _run_prominences(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start index of each run of equal values in ``x``, and each run's
-    prominence on ``x`` and on ``-x``: 0 for every run but a peak."""
-    first, (pk, _, pp), (vk, _, vp) = _prominences(x)
-    prom, vprom = np.zeros(first.size), np.zeros(first.size)
-    prom[pk], vprom[vk] = pp, vp
-    return first, prom, vprom
+def _turns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Start index of each run of equal values in ``x``; the runs where the
+    curve turns, both end runs included; their values; and 1 when the first
+    of them, the start run, is a maximum, else 0.
+
+    Neighbouring runs are never equal, so the turning runs alternate between
+    minima and maxima of ``x``. On ``-x`` the runs are the same, the values
+    negate and the two roles swap.
+    """
+    first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    v = x if first.size == x.size else x[first]
+    up = v[1:] > v[:-1]
+    turn = np.concatenate(([0], np.flatnonzero(up[:-1] != up[1:]) + 1, [v.size - 1]))
+    return first, turn, v[turn], int(up.size > 0 and not up[0])
+
+
+def _side(turn: np.ndarray, tv: np.ndarray, s: int,
+          min_prominence: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The peaks of one side of ``_turns`` (``tv`` and ``s`` as it gives them
+    for ``x``, or negated and flipped for ``-x``): their runs, heights and
+    prominences.
+
+    A peak is an interior maximum; behind infinite walls at both ends, all
+    the minima are its gaps. Its prominence is its height above its base,
+    which is > 0. A peak whose height above the floor, the side's minimum,
+    rounds below ``min_prominence`` gets 0 instead: no base lies below the
+    floor and rounding is monotone, so its prominence would round below it too.
+    Only comparisons, ``min`` and ``max`` run before the one subtraction per
+    peak, and negation is exact, so no value is rounded.
+    """
+    runs, heights = turn[1 + s:-1:2], tv[1 + s:-1:2]
+    keep = heights - tv.min() >= min_prominence
+    return runs, heights, heights - _bases(heights, tv[s::2], keep)
+
+
+def _prominences(x: np.ndarray, min_prominence: float = 0.0) -> tuple:
+    """Start index of each run of equal values in ``x``, then ``_side`` for
+    the peaks of ``x`` and for those of ``-x``, from one shared ``_turns``."""
+    first, turn, tv, s = _turns(x)
+    return (first, _side(turn, tv, s, min_prominence),
+            _side(turn, -tv, 1 - s, min_prominence))
 
 
 def peak_prominences(curve: MotionCurve, indices: list[int]) -> list[float]:
@@ -252,9 +257,12 @@ def peak_prominences(curve: MotionCurve, indices: list[int]) -> list[float]:
     """
     x = curve.values
     indices = as_indices(indices, "indices", hi=x.size)
-    first, prom, _ = _run_prominences(x)
-    runs = np.searchsorted(first, np.asarray(indices, dtype=np.int64), side="right") - 1
-    return prom[runs].tolist()
+    first, turn, tv, s = _turns(x)
+    runs, _, prom = _side(turn, tv, s, 0.0)
+    at = np.zeros(first.size)
+    at[runs] = prom
+    idx = np.searchsorted(first, np.asarray(indices, dtype=np.int64), side="right") - 1
+    return at[idx].tolist()
 
 
 def _peaks(first: np.ndarray, side: tuple, distance: int,
