@@ -4,19 +4,14 @@ smooth(): centered moving average with boundary truncation.
 normalize(): per-clip min-max scaling to [0, 1]; a range below FLAT_RANGE is flat.
 detect_extrema(): the one extrema detector. Peaks are local maxima filtered by
 topographic prominence and a minimum inter-peak distance; valleys are the
-peaks of the exactly negated curve. Both sides share one set-up: the runs
-where the curve turns alternate between minima and maxima, so each side's
-peaks and gaps are strided slices of them. Prominences are exact and take
-linear time in the worst case. First the floor rule drops every peak whose
-height above the floor (the curve's minimum; minus its maximum on the negated
-side) rounds below min_prominence, merging its gaps in one reduceat. That is
-exact: no base lies under the floor, so such a peak fails the filter anyway,
-and a kept peak's nearest higher peak is kept, so its bases stay. Vectorized
-peeling rounds then settle most peaks (each drops every peak lower than both
-neighbouring peaks, which fixes its two bases), and a monotonic stack
-finishes the rest. The distance filter visits the k candidates highest
-first, and each peak it keeps marks out every candidate within the
-distance: O(k log k) in all.
+peaks of the exactly negated curve. Each side slices its peaks and gaps from
+one shared pass over the runs where the curve turns. Prominences are exact
+and take linear time in the worst case: a floor rule first drops, in one
+reduceat, every peak too low above the side's minimum to pass the filter
+(no base lies under that floor, so the rule is exact); vectorized peeling
+rounds then settle most peaks and a monotonic stack the rest. The distance
+filter visits the k candidates highest first, and each peak it keeps marks
+out every candidate within the distance: O(k log k) in all.
 detect_peaks() / detect_valleys(): one side of detect_extrema().
 peak_prominences(): exact prominence of any index (0.0 off a peak plateau),
 for extrema that carry no prominences.
@@ -208,12 +203,10 @@ def _bases(heights: np.ndarray, gaps: np.ndarray, keep: np.ndarray) -> np.ndarra
 
 def _turns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Start index of each run of equal values in ``x``; the runs where the
-    curve turns, both end runs included; their values; and 1 when the first
-    of them, the start run, is a maximum, else 0.
-
-    Neighbouring runs are never equal, so the turning runs alternate between
-    minima and maxima of ``x``. On ``-x`` the runs are the same, the values
-    negate and the two roles swap.
+    curve turns, both end runs included, which alternate between minima and
+    maxima since neighbouring runs are never equal; their values; and 1 when
+    the start run is a maximum, else 0. On ``-x`` the runs are the same, the
+    values negate and the roles swap.
     """
     first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
     v = x if first.size == x.size else x[first]
@@ -222,11 +215,9 @@ def _turns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     return first, turn, v[turn], int(up.size > 0 and not up[0])
 
 
-def _side(turn: np.ndarray, tv: np.ndarray, s: int,
-          min_prominence: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The peaks of one side of ``_turns`` (``tv`` and ``s`` as it gives them
-    for ``x``, or negated and flipped for ``-x``): their runs, heights and
-    prominences.
+def _side(turn: np.ndarray, tv: np.ndarray, s: int, min_prominence: float) -> tuple:
+    """Runs, heights and prominences of the peaks of one side of ``_turns``
+    (``tv`` and ``s`` as it gives them for ``x``, or negated and flipped for ``-x``).
 
     A peak is an interior maximum; behind infinite walls at both ends, all
     the minima are its gaps. Its prominence is its height above its base,
@@ -259,10 +250,10 @@ def peak_prominences(curve: MotionCurve, indices: list[int]) -> list[float]:
     indices = as_indices(indices, "indices", hi=x.size)
     first, turn, tv, s = _turns(x)
     runs, _, prom = _side(turn, tv, s, 0.0)
-    at = np.zeros(first.size)
-    at[runs] = prom
+    run_prom = np.zeros(first.size)
+    run_prom[runs] = prom
     idx = np.searchsorted(first, np.asarray(indices, dtype=np.int64), side="right") - 1
-    return at[idx].tolist()
+    return run_prom[idx].tolist()
 
 
 def _peaks(first: np.ndarray, side: tuple, distance: int,
