@@ -139,12 +139,14 @@ def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
     roles each iteration, so the loop allocates nothing. Each tap, product
     and difference is one contiguous pass over the run from du's first
     interior pixel to dv's last, where each 3x3 tap is a constant offset.
-    The border pixels inside that run, those between the two interiors
-    included, get finite values nothing reads before the replicate refresh
-    overwrites them. The components meet only in the shared term, which
-    adds their two interior spans. Each interior value goes through the
-    float operations of one ``np.pad`` convolution per component, in the
-    same order, so the result is bit-identical to that form.
+    The taps are summed into the next buffer's run, which sheds the data
+    term in place; the 1/12-weighted buffer, dead once summed, holds that
+    term (the shared term in its u span), then |new - old|. Border pixels
+    in the run hold finite values until the replicate refresh. Each interior
+    value goes through the float operations of one ``np.pad`` convolution
+    per component, in order, bar the sum's 0.0 start: ``0.0 + t`` differs
+    from ``t`` only for t = -0.0, which the state holds only after a negative
+    subnormal underflows, and then only in a zero's sign, which ``abs`` drops.
     """
     h, w = a.shape
     row = w + 2
@@ -165,11 +167,8 @@ def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
     weighted = {k: np.empty(2 * grid) for k in np.unique(_AVG_KERNEL) if k}
     taps = [weighted[k][dy * row + dx:dy * row + dx + span]
             for (dy, dx), k in np.ndenumerate(_AVG_KERNEL) if k]
-    bar = np.empty(span)
-    tmp = np.empty(span)
+    tmp = weighted[_AVG_KERNEL[0, 0]][:span]
     tmp_u, tmp_v, grad_u, grad_v = tmp[:size], tmp[grid:], grad[:size], grad[grid:]
-    shared = np.empty(size)
-    # tmp is free once nxt is written; each row of diff_rows is a component
     diff_rows = tmp[:2 * h * w].reshape(2, -1)
     diff = diff_rows.reshape(2, h, w)
     sums = np.empty(2)
@@ -188,16 +187,16 @@ def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
         (cur, _, cur_in, _), (_, nxt_run, nxt_in, edges) = parities[step & 1]
         for k, buf in weighted.items():
             np.multiply(cur, k, out=buf)
-        bar.fill(0.0)
-        for tap in taps:
-            bar += tap
-        np.multiply(grad, bar, out=tmp)
-        np.add(tmp_u, tmp_v, out=shared)
-        shared += it
-        shared /= denom
-        np.multiply(grad_u, shared, out=tmp_u)
-        np.multiply(grad_v, shared, out=tmp_v)
-        np.subtract(bar, tmp, out=nxt_run)
+        np.add(taps[0], taps[1], out=nxt_run)
+        for tap in taps[2:]:
+            nxt_run += tap
+        np.multiply(grad, nxt_run, out=tmp)
+        tmp_u += tmp_v
+        tmp_u += it
+        tmp_u /= denom
+        np.multiply(grad_v, tmp_u, out=tmp_v)
+        tmp_u *= grad_u
+        nxt_run -= tmp
         np.subtract(nxt_in, cur_in, out=diff)
         np.abs(diff_rows, out=diff_rows)
         # larger per-component mean of |new - old|; each row reduces in the

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_pgm_bytes, moving_square_frames, write_pgm
 from keysched import cli, errors, flow, ingest
@@ -114,13 +116,14 @@ class TestSolveLevelMatchesReference:
     ALPHA = flow.DEFAULT_ALPHA / 255.0
     SHAPES = [(8, 8), (17, 9), (64, 40), (8, 64), (64, 8), (9, 17)]
 
-    def check(self, shape, iterations, eps):
-        a, b, u, v = level_inputs(*shape, seed=shape[0] * 100 + shape[1])
+    def check(self, shape, iterations, eps, inputs=None):
+        a, b, u, v = inputs or level_inputs(*shape, seed=shape[0] * 100 + shape[1])
         got = flow._solve_level(a, b, np.stack((u, v)), self.ALPHA, iterations, eps)
         want = solve_level_oracle(a, b, u, v, self.ALPHA, iterations, eps)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
+        return want
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("iterations", range(1, 7))
@@ -134,6 +137,47 @@ class TestSolveLevelMatchesReference:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_defaults(self, shape):
         self.check(shape, flow.DEFAULT_ITERATIONS, flow.DEFAULT_CONVERGENCE_EPS)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("stop", [5, 6], ids=["odd", "even"])
+    def test_finite_eps_breaks_at_either_parity(self, shape, stop):
+        """The next iterate's run doubles as the neighbour average, so the
+        buffer returned alternates with the step that breaks. ``eps`` sits
+        between the deltas of steps ``stop - 1`` and ``stop``, which fall
+        steadily on these inputs, so the first break is at ``stop``."""
+        a, b, u, v = inputs = level_inputs(*shape, seed=shape[0] * 100 + shape[1])
+        steps = [(u, v)] + [solve_level_oracle(a, b, u, v, self.ALPHA, n, 0.0)
+                            for n in range(1, stop + 1)]
+        deltas = [max(np.mean(np.abs(new - old)) for new, old in zip(after, before))
+                  for before, after in zip(steps, steps[1:])]
+        assert deltas[-1] < 0.9 * min(deltas[:-1])
+        eps = float(np.sqrt(deltas[-1] * deltas[-2]))
+        want = self.check(shape, flow.DEFAULT_ITERATIONS, eps, inputs)
+        assert all(w.tobytes() == s.tobytes() for w, s in zip(want, steps[-1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_constant_regions_and_tiny_flows(self, data):
+        """Frames that are flat outside one textured patch, so most
+        gradients are zero, and a flow that is zero but for a few tiny
+        values: most of the state is zeros, whose sign the sum that starts
+        from its first tap must keep as the oracle's does."""
+        h, w = data.draw(st.sampled_from(self.SHAPES))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        a = np.full((h, w), data.draw(st.sampled_from([0.0, 0.5, 1.0])))
+        b = a.copy()
+        y0, x0 = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
+        y1, x1 = data.draw(st.integers(y0, h)), data.draw(st.integers(x0, w))
+        a[y0:y1, x0:x1] = rng.random((y1 - y0, x1 - x0))
+        b[y0:y1, x0:x1] = np.roll(a[y0:y1, x0:x1], 1, axis=1)
+        uv = np.zeros((2, h, w))
+        for _ in range(data.draw(st.integers(0, 4))):
+            exponent = data.draw(st.integers(3, 300))
+            uv[data.draw(st.integers(0, 1)), rng.integers(h), rng.integers(w)] = (
+                data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -exponent)
+        iterations = data.draw(st.integers(1, 8))
+        eps = data.draw(st.sampled_from([0.0, flow.DEFAULT_CONVERGENCE_EPS]))
+        self.check((h, w), iterations, eps, (a, b, *uv))
 
 
 class TestDownsampleMatchesReference:
