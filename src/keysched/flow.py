@@ -145,8 +145,8 @@ def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
     in the run hold finite values until the replicate refresh. Each interior
     value goes through the float operations of one ``np.pad`` convolution
     per component, in order, bar the sum's 0.0 start: ``0.0 + t`` differs
-    from ``t`` only for t = -0.0, which the state holds only after a negative
-    subnormal underflows, and then only in a zero's sign, which ``abs`` drops.
+    from ``t`` only for a tap t = -0.0, the underflow of a weighted negative
+    subnormal, and then only in a zero's sign, which the scores' ``abs`` drops.
     """
     h, w = a.shape
     row = w + 2
