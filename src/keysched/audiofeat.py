@@ -23,10 +23,10 @@ from .errors import (
     KernelTooLargeError,
     ShapeMismatchError,
     WrongSampleRateError,
+    as_feature_matrix,
     as_floats,
     as_index,
     as_indices,
-    as_real_array,
 )
 from .ingest import AudioClip, PIPELINE_SAMPLE_RATE, fixed_text
 from .selection import KeyframeSchedule
@@ -59,14 +59,6 @@ class MelSpectrogram:
     @property
     def frames(self) -> int:
         return int(self.values.shape[1])
-
-
-def as_feature_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a validated rows-by-channels float matrix; its values are not checked."""
-    m = as_real_array(x, name).astype(np.float64, copy=False)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeMismatchError(f"{name} must be a non-empty 2-D matrix, got shape {m.shape}")
-    return m
 
 
 def _hz_to_mel(freq: float) -> float:

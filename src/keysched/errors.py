@@ -146,6 +146,14 @@ def as_real_array(value, name: str) -> np.ndarray:
     return arr
 
 
+def as_feature_matrix(x, name: str = "matrix") -> np.ndarray:
+    """Coerce to a validated rows-by-channels float matrix; its values are not checked."""
+    m = as_real_array(x, name).astype(np.float64, copy=False)
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        raise ShapeMismatchError(f"{name} must be a non-empty 2-D matrix, got shape {m.shape}")
+    return m
+
+
 class TooSmallError(FlowError):
     """Frame too small for the requested pyramid depth."""
 

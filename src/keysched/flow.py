@@ -75,14 +75,6 @@ class FlowParams:
         self.convergence_eps = float(as_floats(self.convergence_eps, "convergence_eps", lo=0.0))
 
 
-def _gradients(img: np.ndarray):
-    """Central differences over a replicate-padded image."""
-    p = np.pad(img, 1, mode="edge")
-    ix = (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0
-    iy = (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
-    return ix, iy
-
-
 def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sample img (one plane or a stack of planes over its last two axes) at
     fractional coordinates, clamping to the border; xs and ys broadcast.
@@ -117,28 +109,18 @@ def _downsample(img: np.ndarray) -> np.ndarray:
     return out
 
 
-def _linearize(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float):
-    """Warp b by the current flow; return the gradients of the mean image,
-    the temporal difference and the Jacobi denominator."""
-    h, w = a.shape
-    b_warped = _bilinear_sample(b, np.arange(w, dtype=np.float64) + uv[0],
-                                np.arange(h, dtype=np.float64)[:, None] + uv[1])
-    avg = (a + b_warped) / 2.0
-    ix, iy = _gradients(avg)
-    it = b_warped - a
-    denom = alpha ** 2 + ix ** 2 + iy ** 2
-    return ix, iy, it, denom
-
-
 def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
                  iterations: int, eps: float) -> np.ndarray:
     """Warp b by the current flow, then Jacobi-iterate the increment.
 
-    du and dv live in the interiors of two replicate-padded (h + 2, w + 2)
-    grids placed back to back in one flat buffer; two such buffers swap
-    roles each iteration, so the loop allocates nothing. Each tap, product
-    and difference is one contiguous pass over the run from du's first
-    interior pixel to dv's last, where each 3x3 tap is a constant offset.
+    The warp, the gradients of the mean image, the temporal difference and
+    the Jacobi denominator are written straight into the interiors of the
+    ``terms`` grids. du and dv live in the interiors of two replicate-padded
+    (h + 2, w + 2) grids placed back to back in one flat buffer; two such
+    buffers swap roles each iteration, so the loop allocates nothing. Each
+    tap, product and difference is one contiguous pass over the run from
+    du's first interior pixel to dv's last, where each 3x3 tap is a
+    constant offset.
     The taps are summed into the next buffer's run, which sheds the data
     term in place; the 1/12-weighted buffer, dead once summed, holds that
     term (the shared term in its u span), then |new - old|. Border pixels
@@ -159,7 +141,15 @@ def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
     # the discarded border values finite
     terms = np.zeros((4, h + 2, row))
     terms[3] = 1.0
-    terms[:, 1:-1, 1:-1] = _linearize(a, b, uv, alpha)
+    ix_in, iy_in, it_in, denom_in = terms[:, 1:-1, 1:-1]
+    warped = _bilinear_sample(b, np.arange(w, dtype=np.float64) + uv[0],
+                              np.arange(h, dtype=np.float64)[:, None] + uv[1])
+    p = np.pad((a + warped) / 2.0, 1, mode="edge")
+    np.subtract(p[1:-1, 2:], p[1:-1, :-2], out=ix_in)
+    np.subtract(p[2:, 1:-1], p[:-2, 1:-1], out=iy_in)
+    terms[:2, 1:-1, 1:-1] /= 2.0
+    np.subtract(warped, a, out=it_in)
+    np.add(alpha ** 2 + ix_in ** 2, iy_in ** 2, out=denom_in)
     terms = terms.reshape(-1)[start:]
     grad, it, denom = terms[:span], terms[2 * grid:][:size], terms[3 * grid:][:size]
     # the padded increment times each distinct nonzero weight, and the taps

@@ -12,8 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audiofeat import as_feature_matrix
-from .errors import ShapeMismatchError, as_floats
+from .errors import ShapeMismatchError, as_feature_matrix, as_floats
 
 DEFAULT_IMAGE_SCALE = 2.0
 DEFAULT_TEXT_SCALE = 1.0
@@ -57,11 +56,11 @@ def attention_weights(q, k) -> np.ndarray:
 
 def attention(q, k, v) -> np.ndarray:
     """Scaled dot-product attention; output rows mix the rows of v."""
-    km = as_feature_matrix(k, "k")
+    weights = attention_weights(q, k)
     vm = as_feature_matrix(v, "v")
-    if km.shape[0] != vm.shape[0]:
-        raise ShapeMismatchError(f"k rows {km.shape[0]} != v rows {vm.shape[0]}")
-    return attention_weights(q, km) @ vm
+    if weights.shape[1] != vm.shape[0]:
+        raise ShapeMismatchError(f"k rows {weights.shape[1]} != v rows {vm.shape[0]}")
+    return weights @ vm
 
 
 def fuse_features(f_in, w_q, text_kv, audio_kv, image_kv,

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audiofeat import as_feature_matrix
 from .errors import (
     BadGeometryError,
     CountMismatchError,
     InvariantViolationError,
     OddDimError,
     ShapeMismatchError,
+    as_feature_matrix,
     as_index,
     as_indices,
     as_real_array,

@@ -56,10 +56,10 @@ class KeyframeSchedule:
             raise InvariantViolationError("keyframes must be strictly increasing")
         if not kf or kf[0] != 0:
             raise InvariantViolationError("keyframes must include frame 0")
-        parts = [set(self.peaks_used), set(self.valleys_used), set(self.fill)]
-        if sum(len(p) for p in parts) != len(set().union(*parts)):
-            raise InvariantViolationError("peak/valley/fill subsets must be disjoint")
-        if set().union(*parts) | {0} != set(kf):
+        labelled = self.peaks_used + self.valleys_used + self.fill
+        if len(set(labelled)) != len(labelled):
+            raise InvariantViolationError("peak/valley/fill lists must be disjoint and repeat no index")
+        if set(labelled) | {0} != set(kf):
             raise InvariantViolationError("provenance subsets plus frame 0 must cover keyframes")
 
 

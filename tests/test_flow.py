@@ -56,6 +56,18 @@ class TestEstimateFlow:
         # shallower pyramid fits
         flow.estimate_flow(a, a, flow.FlowParams(pyramid_levels=2))
 
+    def test_read_only_frames(self):
+        """Nothing is written into the frames: read-only pixels give the
+        same bytes as writable copies."""
+        base, right, _ = translated_texture()
+        want = flow.estimate_flow(Frame(base.copy()), Frame(right.copy()))
+        for img in (base, right):
+            img.flags.writeable = False
+        a, b = Frame(base), Frame(right)
+        assert not (a.pixels.flags.writeable or b.pixels.flags.writeable)
+        got = flow.estimate_flow(a, b)
+        assert (got.u.tobytes(), got.v.tobytes()) == (want.u.tobytes(), want.v.tobytes())
+
     def test_energy_non_increasing_over_iterations(self):
         # fixed-seed case: smoothed noise shifted by one pixel
         rng = np.random.default_rng(1234)
@@ -154,6 +166,18 @@ class TestSolveLevelMatchesReference:
         eps = float(np.sqrt(deltas[-1] * deltas[-2]))
         want = self.check(shape, flow.DEFAULT_ITERATIONS, eps, inputs)
         assert all(w.tobytes() == s.tobytes() for w, s in zip(want, steps[-1]))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_read_only_inputs(self, shape):
+        """Nothing is written into a, b or the starting flow: read-only
+        inputs give the same bytes as writable copies."""
+        a, b, u, v = level_inputs(*shape, seed=shape[0] * 100 + shape[1])
+        uv = np.stack((u, v))
+        args = (self.ALPHA, flow.DEFAULT_ITERATIONS, flow.DEFAULT_CONVERGENCE_EPS)
+        want = flow._solve_level(a.copy(), b.copy(), uv.copy(), *args)
+        for arr in (a, b, uv):
+            arr.flags.writeable = False
+        assert flow._solve_level(a, b, uv, *args).tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -304,6 +328,18 @@ class TestMotionCurve:
         seq = FrameSequence(frames=[Frame(np.zeros((32, 32)))])
         with pytest.raises(errors.TooShortError):
             flow.motion_curve(seq)
+
+    def test_read_only_frames(self, synthetic_clip):
+        """Nothing is written into the frames, in any range: read-only
+        pixels score the same bytes as writable copies."""
+        frozen = []
+        for frame in synthetic_clip:
+            pixels = frame.pixels.copy()
+            pixels.flags.writeable = False
+            frozen.append(Frame(pixels))
+        assert not any(f.pixels.flags.writeable for f in frozen)
+        got = flow.motion_curve(FrameSequence(frames=frozen))
+        assert got.values.tobytes() == flow.motion_curve(synthetic_clip).values.tobytes()
 
     @pytest.mark.parametrize("levels", [1, 2, 3])
     def test_each_pyramid_built_once(self, synthetic_clip, monkeypatch, levels):

@@ -595,6 +595,14 @@ class TestScheduleJson:
         with pytest.raises(errors.InvariantViolationError):
             ingest.read_schedule_json(tmp_path / "d.json")
 
+    def test_repeated_provenance_rejected(self, tmp_path):
+        (tmp_path / "r.json").write_text(
+            '{"total_frames": 8, "keyframes": [0, 5], "peaks": [5, 5], '
+            '"valleys": [], "fill": []}'
+        )
+        with pytest.raises(errors.InvariantViolationError):
+            ingest.read_schedule_json(tmp_path / "r.json")
+
     def test_not_json(self, tmp_path):
         (tmp_path / "x.json").write_text("not json")
         with pytest.raises(errors.ParseError):

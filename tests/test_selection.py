@@ -211,6 +211,7 @@ class TestSelectKeyframes:
         pytest.param(dict(keyframes=[2, 5], peaks_used=[2, 5]), id="no-frame-0"),
         pytest.param(dict(keyframes=[0, 5], peaks_used=[5], fill=[5]), id="overlapping"),
         pytest.param(dict(keyframes=[0, 3, 5], peaks_used=[5]), id="uncovered"),
+        pytest.param(dict(keyframes=[0, 5], peaks_used=[5, 5]), id="repeated"),
     ])
     def test_schedule_invariants(self, fields):
         with pytest.raises(errors.InvariantViolationError):
