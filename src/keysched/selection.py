@@ -58,7 +58,7 @@ class KeyframeSchedule:
             raise InvariantViolationError("keyframes must include frame 0")
         labelled = self.peaks_used + self.valleys_used + self.fill
         if len(set(labelled)) != len(labelled):
-            raise InvariantViolationError("peak/valley/fill lists must be disjoint and repeat no index")
+            raise InvariantViolationError("provenance lists must not share or repeat an index")
         if set(labelled) | {0} != set(kf):
             raise InvariantViolationError("provenance subsets plus frame 0 must cover keyframes")
 
