@@ -200,25 +200,27 @@ def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
     return uv + nxt_in
 
 
-def _pyramid_pairs(seq: FrameSequence | FrameSource,
+def _pyramid_pairs(seq: FrameSequence | FrameSource, frames: range,
                    levels: int) -> Iterator[tuple[list, list]]:
-    """The pyramids of each consecutive frame pair, in order.
+    """The pyramids of each consecutive pair of the frames ``frames`` of
+    ``seq``, in order.
 
-    ``seq`` yields frames of one size, held in memory or read as the pairs
-    are taken; the coarsest level is checked once from that size, before any
-    frame is read. Each frame is read once and its pyramid built once, and
-    the generator keeps only the latest pyramid between pairs.
+    ``seq[i]`` is frame i, held in memory or read as the pairs are taken.
+    The coarsest level, whose sides ``_downsample`` rounds up, is checked
+    once from the shared size, before any frame is read. Each frame is read
+    once and its pyramid built once, and the generator keeps only the latest
+    pyramid between pairs.
     """
     h, w = seq.height, seq.width
-    coarse_h, coarse_w = h >> (levels - 1), w >> (levels - 1)
+    coarse_h, coarse_w = -(-h >> (levels - 1)), -(-w >> (levels - 1))
     if coarse_h < MIN_COARSE_SIZE or coarse_w < MIN_COARSE_SIZE:
         raise TooSmallError(
             f"{h}x{w} leaves {coarse_h}x{coarse_w} at the coarsest of "
             f"{levels} levels (need >= {MIN_COARSE_SIZE})"
         )
     prev = None
-    for frame in seq:
-        pyr = [frame.pixels]
+    for i in frames:
+        pyr = [seq[i].pixels]
         for _ in range(levels - 1):
             pyr.append(_downsample(pyr[-1]))
         if prev is not None:
@@ -252,8 +254,8 @@ def estimate_flow(a: Frame, b: Frame, params: FlowParams | None = None) -> FlowF
     one pixel right yields u near +1.
     """
     params = params or FlowParams()
-    return _solve_pair(*next(_pyramid_pairs(FrameSequence([a, b]), params.pyramid_levels)),
-                       params)
+    pair = next(_pyramid_pairs(FrameSequence([a, b]), range(2), params.pyramid_levels))
+    return _solve_pair(*pair, params)
 
 
 def motion_score(flow: FlowField, normalize: bool = True) -> float:
@@ -271,21 +273,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _range_scores(seq: FrameSequence | FrameSource, params: FlowParams,
+def _range_scores(seq: FrameSequence | FrameSource, frames: range, params: FlowParams,
                   normalize: bool) -> list[float]:
-    """The score of each consecutive pair of ``seq``, in order, up to the
-    first failure."""
+    """The score of each consecutive pair of the frames ``frames`` of ``seq``,
+    in order, up to the first failure."""
     scores = []
-    for pair in _pyramid_pairs(seq, params.pyramid_levels):
+    for pair in _pyramid_pairs(seq, frames, params.pyramid_levels):
         scores.append(motion_score(_solve_pair(*pair, params), normalize=normalize))
         del pair  # hold no spent pyramid while the next one is built
     return scores
 
 
-def _fork_range(seq: FrameSequence | FrameSource, params: FlowParams,
+def _fork_range(seq: FrameSequence | FrameSource, frames: range, params: FlowParams,
                 normalize: bool) -> tuple[int, int]:
-    """Start a child that scores the pairs of ``seq``; return its pid and
-    the read end of the pipe where it sends ``(scores, error)`` as a pickle."""
+    """Start a child that scores the pairs of the frames ``frames`` of
+    ``seq``; return its pid and the read end of the pipe where it sends
+    ``(scores, error)`` as a pickle."""
     read, write = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12+ warns on a fork from a process with OS threads, and
@@ -300,7 +303,7 @@ def _fork_range(seq: FrameSequence | FrameSource, params: FlowParams,
     try:  # the child: every path ends in os._exit, so nothing of the parent's runs on
         os.close(read)
         try:
-            result = _range_scores(seq, params, normalize), None
+            result = _range_scores(seq, frames, params, normalize), None
         except BaseException as exc:
             result = None, exc
         try:
@@ -326,10 +329,11 @@ def motion_curve(
     Entry t scores the transition t -> t+1; the final entry duplicates its
     predecessor so every frame index carries a score.
 
-    The pairs are split into ``min(usable CPUs, pairs)`` contiguous ranges,
-    where neighbouring ranges share one boundary frame, so each frame is read
-    once per range that holds it and its pyramid built once per range. The
-    calling process solves the first range; each other range goes to one
+    The pairs are split into ``min(usable CPUs, pairs)`` contiguous ranges of
+    frame indices, where neighbouring ranges share one boundary frame; each
+    range reads its frames as ``seq[i]``, so each frame is read once per
+    range that holds it and its pyramid built once per range. The calling
+    process solves the first range; each other range goes to one
     ``os.fork()`` child, which sends its scores back through a pipe. Pairs
     are independent, so the bytes do not depend on the range count. A range
     keeps at most two pyramids live, so peak memory does not grow with the
@@ -353,8 +357,8 @@ def motion_curve(
     workers = []  # (pid, pipe) of each child, in range order
     try:
         for a, b in zip(bounds[1:], bounds[2:]):
-            workers.append(_fork_range(seq[a:b + 1], params, normalize))
-        values = _range_scores(seq[:bounds[1] + 1], params, normalize)
+            workers.append(_fork_range(seq, range(a, b + 1), params, normalize))
+        values = _range_scores(seq, range(bounds[1] + 1), params, normalize)
         for pid, pipe in workers:
             with open(pipe, "rb", closefd=False) as fh:
                 data = fh.read()

@@ -8,7 +8,6 @@ byte-stable output, and every text file is written by ``_atomic_write_text``.
 
 from __future__ import annotations
 
-import copy
 import io
 import json
 import os
@@ -76,12 +75,9 @@ class FrameSequence:
     def __iter__(self) -> Iterator[Frame]:
         return iter(self.frames)
 
-    def __getitem__(self, index: slice) -> FrameSequence:
-        """The frames of a slice as a sequence of their own, not checked again."""
-        start, stop = _frame_span(index, len(self))
-        part = copy.copy(self)
-        part.frames = self.frames[start:stop]
-        return part
+    def __getitem__(self, index: int) -> Frame:
+        """Frame ``index``, not checked again."""
+        return self.frames[as_index(index, "frame", hi=len(self))]
 
 
 @dataclass
@@ -143,14 +139,6 @@ def read_pgm(path: str | Path) -> Frame:
     return Frame(pixels.reshape(height, width))
 
 
-def _frame_span(index: slice, count: int) -> tuple[int, int]:
-    """The bounds of a slice with step 1 that keeps some of ``count`` frames."""
-    start, stop, step = index.indices(count)
-    if step != 1 or stop <= start:
-        raise InvariantViolationError(f"a frame slice needs step 1 and a frame, got {index}")
-    return start, stop
-
-
 def _check_size(index: int, size: tuple[int, int], expected: tuple[int, int]) -> None:
     if size != expected:
         raise DimensionMismatchError(
@@ -165,9 +153,9 @@ class FrameSource:
     the sizes, so a malformed frame is reported before any size mismatch.
     Only the paths and the shared size are kept; each iteration reads the
     frames again, one at a time, so memory does not grow with the frame
-    count. A file that changed since construction raises the same errors.
-    A slice, ``source[a:b]``, reads the same paths without checking them
-    again, and its frames keep their index in this source in its errors.
+    count. ``source[i]`` reads frame i alone, and iteration reads each frame
+    through it, so a file that changed since construction raises the same
+    errors, naming the frame by its index.
     """
 
     def __init__(self, directory: str | Path):
@@ -180,22 +168,19 @@ class FrameSource:
         self.height, self.width = sizes[0]
         for i, size in enumerate(sizes):
             _check_size(i, size, sizes[0])
-        self.first = 0  # the index of paths[0] in the directory's frames
 
     def __len__(self) -> int:
         return len(self.paths)
 
     def __iter__(self) -> Iterator[Frame]:
-        for i, path in enumerate(self.paths, self.first):
-            frame = read_pgm(path)
-            _check_size(i, (frame.height, frame.width), (self.height, self.width))
-            yield frame
+        return (self[i] for i in range(len(self)))
 
-    def __getitem__(self, index: slice) -> FrameSource:
-        start, stop = _frame_span(index, len(self))
-        part = copy.copy(self)
-        part.paths, part.first = self.paths[start:stop], self.first + start
-        return part
+    def __getitem__(self, index: int) -> Frame:
+        """Frame ``index``, parsed from its path and checked for size."""
+        index = as_index(index, "frame", hi=len(self))
+        frame = read_pgm(self.paths[index])
+        _check_size(index, (frame.height, frame.width), (self.height, self.width))
+        return frame
 
 
 def load_frame_sequence(directory: str | Path) -> FrameSequence:

@@ -56,6 +56,26 @@ class TestEstimateFlow:
         # shallower pyramid fits
         flow.estimate_flow(a, a, flow.FlowParams(pyramid_levels=2))
 
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_coarse_size_rule_follows_downsample(self, levels):
+        """A side is refused exactly when its real pyramid's coarsest side,
+        which ``_downsample`` rounds up, is below ``MIN_COARSE_SIZE``; the
+        message names that size."""
+        for side in range(8, 71):
+            for h, w in [(side, side), (side, 70), (70, side)]:
+                coarsest = np.zeros((h, w))
+                for _ in range(levels - 1):
+                    coarsest = flow._downsample(coarsest)
+                ch, cw = coarsest.shape
+                pairs = flow._pyramid_pairs(FrameSequence([Frame(np.zeros((h, w)))] * 2),
+                                            range(2), levels)
+                if min(ch, cw) < flow.MIN_COARSE_SIZE:
+                    with pytest.raises(errors.TooSmallError, match=f" leaves {ch}x{cw} at "):
+                        next(pairs)
+                else:
+                    prev, pyr = next(pairs)
+                    assert prev[-1].shape == pyr[-1].shape == (ch, cw)
+
     def test_read_only_frames(self):
         """Nothing is written into the frames: read-only pixels give the
         same bytes as writable copies."""
@@ -393,6 +413,25 @@ class TestMotionCurve:
         assert forks == [1, 1, 1]
         assert_no_child_left()
 
+    def test_many_pairs_over_many_ranges_of_a_source(self, tmp_path, monkeypatch):
+        """19 pairs of a ``FrameSource`` over four ranges, three of them in
+        forked children, each reading its own span of frame indices: the
+        frames at the range boundaries are read by both ranges that hold
+        them."""
+        rng = np.random.default_rng(20)
+        for i in range(20):
+            write_pgm(Frame(rng.integers(0, 256, (16, 16)) / 255.0), tmp_path / f"{i:02d}.pgm")
+        frames = ingest.load_frame_sequence(tmp_path).frames
+        params = flow.FlowParams(iterations=2, pyramid_levels=2)
+        want = [flow.motion_score(flow.estimate_flow(a, b, params))
+                for a, b in zip(frames, frames[1:])]
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(flow, "_usable_cpus", lambda: 4)
+        curve = flow.motion_curve(ingest.FrameSource(tmp_path), params)
+        assert curve.values.tobytes() == np.array(want + want[-1:]).tobytes()
+        assert forks == [1, 1, 1]
+        assert_no_child_left()
+
     def test_earliest_failure_wins(self, synthetic_clip, monkeypatch, capfd):
         """Pair 12, in the child's range, fails first in time, while pair 2
         is still being solved in the calling process; the error of pair 2 is
@@ -708,6 +747,16 @@ class TestStreamedFrames:
         for _ in range(2):  # a source can be iterated again
             assert [f.pixels.tobytes() for f in source] == [
                 f.pixels.tobytes() for f in loaded]
+
+    def test_range_reads_only_its_frames(self, pgm_dir, monkeypatch):
+        source = ingest.FrameSource(pgm_dir)
+        read, read_pgm = [], ingest.read_pgm
+        monkeypatch.setattr(ingest, "read_pgm", lambda path: read.append(path) or read_pgm(path))
+        scores = flow._range_scores(source, range(5, 10), flow.FlowParams(), True)
+        assert read == source.paths[5:10]
+        monkeypatch.undo()
+        monkeypatch.setattr(flow, "_usable_cpus", lambda: 1)
+        assert scores == flow.motion_curve(source).values[5:9].tolist()
 
     # the child's own peak RSS, in bytes, after scoring the directory. On
     # Linux, ru_maxrss also counts the parent's peak, which exec carries

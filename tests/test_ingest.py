@@ -142,37 +142,26 @@ class TestFrameSource:
         with pytest.raises(error):
             next(frames)
 
-    def test_slice_reads_its_paths_unchecked(self, pgm_dir, monkeypatch):
+    def test_index_reads_only_its_path(self, pgm_dir, monkeypatch):
         source = ingest.FrameSource(pgm_dir)
-        monkeypatch.setattr(ingest, "_pgm_layout", lambda *args: pytest.fail("checked again"))
-        part = source[5:9]
-        assert type(part) is ingest.FrameSource
-        assert part.paths == source.paths[5:9] and len(part) == 4
-        assert (part.height, part.width, part.first) == (32, 48, 5)
-        assert part[1:][2:].first == 8
-        monkeypatch.undo()
-        assert [f.pixels.tobytes() for f in part] == [
-            f.pixels.tobytes() for f in ingest.load_frame_sequence(pgm_dir).frames[5:9]]
+        read, read_pgm = [], ingest.read_pgm
+        monkeypatch.setattr(ingest, "read_pgm", lambda path: read.append(path) or read_pgm(path))
+        frame = source[5]
+        assert read == [source.paths[5]]
+        assert frame.pixels.tobytes() == read_pgm(source.paths[5]).pixels.tobytes()
 
-    def test_slice_names_the_frame_by_its_index_in_the_directory(self, pgm_dir):
+    def test_index_names_the_frame_changed_after_construction(self, pgm_dir):
         source = ingest.FrameSource(pgm_dir)
         (pgm_dir / "frame_0007.pgm").write_bytes(make_pgm_bytes(24, 32, bytes(24 * 32)))
+        assert source[6].height == source[8].height == 32  # its neighbours still read
         with pytest.raises(errors.DimensionMismatchError, match="^frame 7 is 32x24, expected"):
-            list(source[4:12][3:])
-
-    @pytest.mark.parametrize("index", [slice(3, 3), slice(9, 2), slice(0, 8, 2), slice(20, None)])
-    def test_slice_must_keep_a_frame_at_step_one(self, pgm_dir, index):
-        for frames in (ingest.FrameSource(pgm_dir), ingest.load_frame_sequence(pgm_dir)):
-            with pytest.raises(errors.InvariantViolationError, match="frame slice"):
-                frames[index]
+            source[7]
 
 
-def test_frame_sequence_slice_is_not_checked_again(pgm_dir, monkeypatch):
+def test_frame_sequence_index_is_not_checked_again(pgm_dir, monkeypatch):
     seq = ingest.load_frame_sequence(pgm_dir)
     monkeypatch.setattr(ingest, "_check_size", lambda *args: pytest.fail("checked again"))
-    part = seq[-3:]
-    assert type(part) is ingest.FrameSequence
-    assert part.frames == seq.frames[13:] and (part.height, part.width) == (32, 48)
+    assert all(seq[i] is frame for i, frame in enumerate(seq.frames))
 
 
 def wav_chunk(chunk_id, body, size=None):

@@ -244,6 +244,19 @@ def read_zero_width_pgm():
         ingest.read_pgm(path)
 
 
+def index_frame_source(index):
+    with tempfile.TemporaryDirectory() as d:
+        for name in ("a.pgm", "b.pgm"):
+            (Path(d) / name).write_bytes(b"P5 4 4 255\n" + bytes(16))
+        ingest.FrameSource(d)[index]
+
+
+TWO_FRAMES = ingest.FrameSequence([ingest.Frame(np.zeros((4, 4)))] * 2)
+# a frame index takes the one integer rule, below the frame count: no slices
+BAD_FRAME_INDICES = {"slice": slice(0, 1), "bool": True, "float": 1.0, "negative": -1,
+                     "past_end": 2}
+
+
 def flow_on_nan_frame():
     # the NaN frame is refused when it is built; a NaN once reached the solver's warp
     still = ingest.Frame(np.zeros((32, 32)))
@@ -273,6 +286,10 @@ VALIDATION = {
     "FrameSequence.later_not_frame":
         (lambda: ingest.FrameSequence([ingest.Frame(np.zeros((4, 4))), np.zeros((4, 4))]),
          errors.InvariantViolationError),
+    **{f"{kind}.index_{name}": (lambda get=get, i=i: get(i), errors.InvariantViolationError)
+       for kind, get in [("FrameSource", index_frame_source),
+                         ("FrameSequence", TWO_FRAMES.__getitem__)]
+       for name, i in BAD_FRAME_INDICES.items()},
     "AudioClip.shape": (lambda: ingest.AudioClip(np.zeros((2, 2))),
                         errors.InvariantViolationError),
     "AudioClip.range": (lambda: ingest.AudioClip([0.0, -1.5]), errors.InvariantViolationError),
