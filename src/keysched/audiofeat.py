@@ -163,10 +163,8 @@ def segment_features(tokens, time_steps: int) -> np.ndarray:
     mat = as_feature_matrix(tokens, "tokens")
     time_steps = as_index(time_steps, "time_steps", lo=1)
     n = mat.shape[0]
-    if time_steps == 1:
-        return mat[[0], :].copy()
-    rows = [int(math.floor(s * (n - 1) / (time_steps - 1) + 0.5)) for s in range(time_steps)]
-    return mat[rows, :].copy()
+    rows = [math.floor(s * (n - 1) / max(time_steps - 1, 1) + 0.5) for s in range(time_steps)]
+    return mat[rows]
 
 
 def gather_keyframe_rows(perstep, indices) -> np.ndarray:
@@ -178,7 +176,7 @@ def gather_keyframe_rows(perstep, indices) -> np.ndarray:
     for i in idx:
         if not 0 <= i < mat.shape[0]:
             raise IndexOutOfRangeError(f"row {i} outside matrix with {mat.shape[0]} rows")
-    return mat[idx, :].copy()
+    return mat[idx]
 
 
 def l1_loss(pred, gt) -> float:

@@ -172,7 +172,6 @@ def _solve_level(a: np.ndarray, b: np.ndarray, uv: np.ndarray, alpha: float,
 
     first, second = views(np.zeros(2 * grid)), views(np.zeros(2 * grid))
     parities = [(first, second), (second, first)]
-    nxt_in = first[2]  # a zero increment, should no iteration run
     for step in range(iterations):
         (cur, _, cur_in, _), (_, nxt_run, nxt_in, edges) = parities[step & 1]
         for k, buf in weighted.items():

@@ -431,10 +431,9 @@ def read_scores_csv(path: str | Path) -> MotionCurve:
     """Read a scores CSV back into a raw-stage MotionCurve.
 
     A file in the layout ``scores_csv_text`` writes is read from its bytes
-    by ``_fixed_point_rows``. Any other file is read again as ASCII text,
-    with text mode's line ends; a body then in that layout (a CRLF copy, say)
-    still goes through ``_fixed_point_rows``, and any other through
-    ``np.loadtxt``.
+    by ``_fixed_point_rows``. Any other file, a CRLF copy included, is read
+    again as ASCII text with text mode's line ends and parsed by one
+    ``np.loadtxt`` call, which reads the same floats.
     """
     header, _, body = Path(path).read_bytes().partition(b"\n")
     columns = _fixed_point_rows(body) if header == CSV_HEADER.encode() else None
@@ -442,8 +441,6 @@ def read_scores_csv(path: str | Path) -> MotionCurve:
         header, _, body = _read_text(path, "ascii").partition("\n")
         if header != CSV_HEADER:
             raise ParseError(f"{path}: first line is not the '{CSV_HEADER}' header")
-        columns = _fixed_point_rows(body.encode("ascii"))
-    if columns is None:
         if not body or body.isspace():  # what strip() would empty, without copying the body
             raise ParseError(f"{path}: no score rows")
         # NumPy's number parsers skip the ASCII separators \x1c-\x1f as

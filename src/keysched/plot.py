@@ -84,8 +84,6 @@ def render_plot(spec: PlotSpec) -> str:
     )
     marks = ((spec.extrema.peaks, 1, PEAK_COLOR), (spec.extrema.valleys, -1, VALLEY_COLOR))
     for indices, d, color in marks:
-        if not indices:
-            continue
         x, y = sx(np.array(indices)), sy(values[indices])
         # apex, then the two base corners: one "x,y" pair per row
         corners = np.column_stack((x, y - d * MARK_SIZE, x - MARK_SIZE, y + d * MARK_SIZE,

@@ -149,8 +149,6 @@ def _largest_remainder(weights: list[int], total: int) -> list[int]:
     wsum = sum(weights)
     if not 0 <= total <= wsum:
         raise InvariantViolationError(f"cannot apportion {total} over weights summing to {wsum}")
-    if total == 0:
-        return [0] * len(weights)
     ideal = [total * w / wsum for w in weights]
     alloc = [math.floor(s) for s in ideal]
     remainder = total - sum(alloc)

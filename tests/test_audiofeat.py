@@ -220,6 +220,13 @@ class TestSegmentFeatures:
         mat = np.arange(6.0).reshape(3, 2)
         assert np.array_equal(audiofeat.segment_features(mat, 1), mat[[0]])
 
+    @pytest.mark.parametrize("time_steps", [1, 4, 7])
+    def test_result_is_a_new_array(self, time_steps):
+        mat = np.arange(8.0).reshape(4, 2)
+        out = audiofeat.segment_features(mat, time_steps)
+        out[...] = -1.0
+        assert np.array_equal(mat, np.arange(8.0).reshape(4, 2))
+
 
 class TestGatherKeyframeRows:
     def test_full_range_identity(self):
@@ -236,6 +243,13 @@ class TestGatherKeyframeRows:
     def test_out_of_range(self):
         with pytest.raises(errors.IndexOutOfRangeError):
             audiofeat.gather_keyframe_rows(np.zeros((6, 1)), [6])
+
+    @pytest.mark.parametrize("indices", [[], [3], list(range(6)), [5, 0, 5]])
+    def test_result_is_a_new_array(self, indices):
+        mat = np.arange(12.0).reshape(6, 2)
+        out = audiofeat.gather_keyframe_rows(mat, indices)
+        out[...] = -1.0
+        assert np.array_equal(mat, np.arange(12.0).reshape(6, 2))
 
 
 class TestL1Loss:

@@ -352,20 +352,29 @@ class TestScoresCsv:
         back = ingest.read_scores_csv(path)
         assert back.values.tobytes() == read_scores_csv_oracle(path).values.tobytes()
 
-    def test_crlf_copy_of_written_file_is_read_without_loadtxt(self, tmp_path, monkeypatch):
-        """Text mode turns the copy's CRLF line ends back into the writer's layout."""
+    def test_crlf_copy_of_written_file_reads_the_same_floats(self, tmp_path, monkeypatch):
+        """The copy goes through np.loadtxt, the file through the vectorized pass,
+        and neither read runs that pass more than once."""
         rng = np.random.default_rng(6)
         curve = MotionCurve(rng.random(2000) * 10.0 ** rng.integers(0, 6, 2000))
-        path, copy = tmp_path / "w.csv", tmp_path / "crlf.csv"
+        path, copy, spaced = tmp_path / "w.csv", tmp_path / "crlf.csv", tmp_path / "spaced.csv"
         ingest.write_scores_csv(curve, path)
         copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        want = read_scores_csv_oracle(path).values.tobytes()
+        # the exact header, then rows with a space after the comma
+        spaced.write_bytes(path.read_bytes().replace(b",", b", ").replace(b"index, score", b"index,score"))
+        calls, fixed_point_rows = [], ingest._fixed_point_rows
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.loadtxt called on a CRLF copy of the writer's layout")
+        def counted(body):
+            calls.append(body)
+            return fixed_point_rows(body)
 
-        monkeypatch.setattr(np, "loadtxt", refuse)
-        assert ingest.read_scores_csv(copy).values.tobytes() == want
+        monkeypatch.setattr(ingest, "_fixed_point_rows", counted)
+        backs = {}
+        for p in (path, copy, spaced):
+            calls.clear()
+            backs[p] = ingest.read_scores_csv(p).values.tobytes()
+            assert len(calls) <= 1, p.name
+        assert backs[copy] == backs[path] == backs[spaced]
 
     def test_written_file_is_read_from_its_bytes_once(self, tmp_path, monkeypatch):
         path = tmp_path / "w.csv"

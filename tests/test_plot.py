@@ -56,3 +56,18 @@ def test_marks_must_fit_the_curve(extrema, schedule):
     with pytest.raises(errors.InvariantViolationError):
         plot.PlotSpec(width=80, height=60, curve=MotionCurve([0.0, 1.0, 0.5]),
                       extrema=extrema, schedule=schedule)
+
+
+def test_side_without_marks_writes_no_polygon():
+    """Peaks but no valleys: the valley side formats an empty corner table."""
+    curve = motion.normalize(MotionCurve([0.0, 0.5, 1.0, 0.5, 0.0]))
+    extrema = motion.detect_extrema(curve)
+    assert (extrema.peaks, extrema.valleys) == ([2], [])
+    assert plot.render_plot(plot.PlotSpec(width=120, height=80, curve=curve, extrema=extrema)) == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" width="120" height="80" viewBox="0 0 120 80">\n'
+        '<rect x="0" y="0" width="120" height="80" fill="#ffffff"/>\n'
+        '<polyline points="24.00,56.00 42.00,40.00 60.00,24.00 78.00,40.00 96.00,56.00" '
+        'fill="none" stroke="#1f6fb2" stroke-width="1.5"/>\n'
+        '<polygon points="60.00,19.00 55.00,29.00 65.00,29.00" fill="#d64541"/>\n'
+        '</svg>\n')

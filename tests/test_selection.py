@@ -288,6 +288,10 @@ class TestLargestRemainder:
             assert sum(alloc) == total
             assert all(0 <= a <= w for a, w in zip(alloc, weights))
 
+    @pytest.mark.parametrize("weights", [[1], [0, 5], [3, 0, 4, 9]])
+    def test_zero_total_gives_zeros(self, weights):
+        assert selection._largest_remainder(weights, 0) == [0] * len(weights)
+
     def test_zero_weight_slot_gets_nothing(self):
         assert selection._largest_remainder([0, 5], 3) == [0, 3]
 
