@@ -18,6 +18,7 @@ from .errors import (
     NotDivisibleByThreeError,
     NoValidInstancesError,
     ParseError,
+    as_floats,
     as_indices,
 )
 from .ingest import _read_text
@@ -88,12 +89,16 @@ def average_precision(instances: list[KeypointInstance], threshold: float,
 
 
 def intensity_buckets(class_means: dict[str, float]) -> IntensityBuckets:
-    """Tercile split by ascending mean score, score ties by class name."""
+    """Tercile split by ascending mean score, score ties by class name; each
+    mean must be a finite real, since a NaN leaves the ranking without an order."""
     if not class_means or len(class_means) % 3 != 0:
         raise NotDivisibleByThreeError(
             f"need a class count divisible by 3, got {len(class_means)}"
         )
-    ranked = sorted(class_means, key=lambda name: (class_means[name], name))
+    # one scalar check per class, so a bool among floats is refused too
+    means = {name: float(as_floats(mean, f"mean of class {name!r}"))
+             for name, mean in class_means.items()}
+    ranked = sorted(means, key=lambda name: (means[name], name))
     third = len(ranked) // 3
     return IntensityBuckets(
         subtle=ranked[:third],

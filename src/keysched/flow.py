@@ -32,6 +32,9 @@ DEFAULT_PYRAMID_LEVELS = 3
 DEFAULT_CONVERGENCE_EPS = 1e-4
 
 MIN_COARSE_SIZE = 8
+# the least alpha with 1 / (alpha / 255) ** 2 finite: on a flat region the
+# Jacobi step divides the temporal difference, up to 1, by that square
+MIN_ALPHA = 255.0 / np.sqrt(np.finfo(np.float64).max)
 
 # weighted neighbor average used by the Jacobi update
 _AVG_KERNEL = np.array(
@@ -71,7 +74,7 @@ class FlowParams:
     def __post_init__(self):
         self.iterations = as_index(self.iterations, "iterations", lo=1)
         self.pyramid_levels = as_index(self.pyramid_levels, "pyramid_levels", lo=1)
-        self.alpha = float(as_floats(self.alpha, "alpha", lo=np.nextafter(0, 1)))  # > 0
+        self.alpha = float(as_floats(self.alpha, "alpha", lo=MIN_ALPHA))
         self.convergence_eps = float(as_floats(self.convergence_eps, "convergence_eps", lo=0.0))
 
 

@@ -290,7 +290,8 @@ def fixed_text(table, decimals: int, end: str = "\n") -> str:
     ``decimals`` is the one d of every value, from 1 to 18 so that 10**d is
     an exact float and the fraction digits fit an int64. The values of a row
     are joined by commas and each row ends with ``end``, a single ASCII
-    character.
+    character. A table that is not 2-D with at least one column, or any
+    other ``end``, raises InvariantViolationError.
 
     ``y = x * 10**d`` is the float nearest the exact product, and below
     2**52 every half-integer is a float, so none lies strictly between the
@@ -308,6 +309,10 @@ def fixed_text(table, decimals: int, end: str = "\n") -> str:
     """
     d = as_index(decimals, "decimals", lo=1, hi=19)
     x = np.asarray(table, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise InvariantViolationError(f"table must be 2-D with a column, got shape {x.shape}")
+    if not (isinstance(end, str) and len(end) == 1 and end.isascii()):
+        raise InvariantViolationError(f"end must be one ASCII character, got {end!r}")
     return "".join(_fixed_rows(x[i:i + FIXED_BLOCK_ROWS], d, end)
                    for i in range(0, x.shape[0], FIXED_BLOCK_ROWS))
 

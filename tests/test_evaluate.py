@@ -94,6 +94,11 @@ class TestAveragePrecision:
         assert 0.0 <= evaluate.average_precision(instances, 2) <= 1.0
 
 
+NOT_FINITE_REALS = {"nan": float("nan"), "np_nan": np.float64("nan"), "inf": float("inf"),
+                    "-inf": -float("inf"), "str": "x", "numeric_str": "1.0", "bool": True,
+                    "np_bool": np.bool_(False), "None": None, "list": [1.0]}
+
+
 class TestIntensityBuckets:
     def test_fifteen_classes_split_five_each(self):
         means = {f"class{i:02d}": float(i) for i in range(15)}
@@ -115,6 +120,17 @@ class TestIntensityBuckets:
     def test_not_divisible_by_three(self):
         with pytest.raises(errors.NotDivisibleByThreeError):
             evaluate.intensity_buckets({"a": 1.0, "b": 2.0})
+
+    @pytest.mark.parametrize("bad", sorted(NOT_FINITE_REALS))
+    @pytest.mark.parametrize("slot", ["a", "b", "c"])
+    def test_mean_that_is_not_a_finite_real_rejected(self, bad, slot):
+        means = {"a": 1.0, "b": 0.25, "c": 0.5, slot: NOT_FINITE_REALS[bad]}
+        with pytest.raises(errors.InvariantViolationError, match=f"class '{slot}'"):
+            evaluate.intensity_buckets(means)
+
+    def test_integer_and_numpy_means_rank_as_floats(self):
+        buckets = evaluate.intensity_buckets({"a": 2, "b": np.float32(0.5), "c": np.int64(1)})
+        assert (buckets.subtle, buckets.moderate, buckets.intense) == (["b"], ["c"], ["a"])
 
     def test_partition_property(self):
         means = {f"k{i}": float((i * 7) % 12) for i in range(12)}

@@ -112,6 +112,27 @@ class TestFlowParams:
         with pytest.raises(errors.InvariantViolationError):
             flow.FlowParams(alpha=alpha)
 
+    def test_alpha_floor_solves_a_flat_pair_cleanly(self):
+        """At MIN_ALPHA a flat region's Jacobi step divides by the least
+        square with a finite reciprocal: no overflow, no warning."""
+        a, b = Frame(np.zeros((32, 32))), Frame(np.ones((32, 32)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = flow.estimate_flow(a, b, flow.FlowParams(alpha=flow.MIN_ALPHA, iterations=20))
+        assert flow.motion_score(field) == 0.0
+
+    def test_alpha_just_below_floor_rejected(self):
+        below = np.nextafter(flow.MIN_ALPHA, 0)
+        with np.errstate(over="ignore"):
+            assert np.isinf(1.0 / (below / 255.0) ** 2)  # the flat step it would take
+        with pytest.raises(errors.InvariantViolationError, match="alpha"):
+            flow.FlowParams(alpha=below)
+
+    @pytest.mark.parametrize("alpha", [1.5e-152, 5e-160, 5e-324])
+    def test_alpha_that_overflows_a_flat_step_rejected(self, alpha):
+        with pytest.raises(errors.InvariantViolationError, match="alpha"):
+            flow.FlowParams(alpha=alpha)
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_non_finite_convergence_eps_rejected(self, eps):
         with pytest.raises(errors.InvariantViolationError):

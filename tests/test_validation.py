@@ -371,6 +371,18 @@ VALIDATION = {
                                  errors.InvariantViolationError),
     "fixed_text.decimals_list": (lambda: ingest.fixed_text([[1.5, 2.5]], [2, 9]),
                                  errors.InvariantViolationError),
+    "fixed_text.table_1d": (lambda: ingest.fixed_text([1.5, 2.5], 2),
+                            errors.InvariantViolationError),
+    "fixed_text.table_3d": (lambda: ingest.fixed_text(np.ones((2, 2, 2)), 2),
+                            errors.InvariantViolationError),
+    "fixed_text.table_no_columns": (lambda: ingest.fixed_text(np.ones((2, 0)), 2),
+                                    errors.InvariantViolationError),
+    # 0.12 goes through the digit matrix, the tie 0.125 through format
+    **{f"fixed_text.end_{name}_{path}": (lambda end=end, v=v: ingest.fixed_text([[v, 1.0]], 2, end),
+                                         errors.InvariantViolationError)
+       for name, end in [("two_chars", "ab"), ("non_ascii", "\u00e9"), ("empty", ""),
+                         ("bytes", b"\n"), ("none", None)]
+       for path, v in [("digits", 0.12), ("format", 0.125)]},
     "WindowPlan.geometry": (lambda: schedule.WindowPlan(6, 3, 4), errors.BadGeometryError),
     "GuidanceScales.finite": (lambda: refops.GuidanceScales(text=np.nan),
                               errors.InvariantViolationError),
