@@ -290,8 +290,8 @@ def fixed_text(table, decimals: int, end: str = "\n") -> str:
     ``decimals`` is the one d of every value, from 1 to 18 so that 10**d is
     an exact float and the fraction digits fit an int64. The values of a row
     are joined by commas and each row ends with ``end``, a single ASCII
-    character. A table that is not 2-D with at least one column, or any
-    other ``end``, raises InvariantViolationError.
+    character. A table that is not a 2-D array of reals with at least one
+    column, or any other ``end``, raises InvariantViolationError.
 
     ``y = x * 10**d`` is the float nearest the exact product, and below
     2**52 every half-integer is a float, so none lies strictly between the
@@ -308,7 +308,10 @@ def fixed_text(table, decimals: int, end: str = "\n") -> str:
     that many rows through ``format``.
     """
     d = as_index(decimals, "decimals", lo=1, hi=19)
-    x = np.asarray(table, dtype=np.float64)
+    try:
+        x = np.asarray(table, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a string, an object or ragged nesting
+        raise InvariantViolationError(f"table must hold real numbers: {exc}") from exc
     if x.ndim != 2 or x.shape[1] == 0:
         raise InvariantViolationError(f"table must be 2-D with a column, got shape {x.shape}")
     if not (isinstance(end, str) and len(end) == 1 and end.isascii()):

@@ -377,6 +377,10 @@ VALIDATION = {
                             errors.InvariantViolationError),
     "fixed_text.table_no_columns": (lambda: ingest.fixed_text(np.ones((2, 0)), 2),
                                     errors.InvariantViolationError),
+    "fixed_text.table_str": (lambda: ingest.fixed_text([["0.5", "a"]], 2),
+                             errors.InvariantViolationError),
+    "fixed_text.table_ragged": (lambda: ingest.fixed_text([[0.5], [0.5, 1.0]], 2),
+                                errors.InvariantViolationError),
     # 0.12 goes through the digit matrix, the tie 0.125 through format
     **{f"fixed_text.end_{name}_{path}": (lambda end=end, v=v: ingest.fixed_text([[v, 1.0]], 2, end),
                                          errors.InvariantViolationError)
