@@ -361,7 +361,8 @@ class TestScoresCsv:
         ingest.write_scores_csv(curve, path)
         copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         # the exact header, then rows with a space after the comma
-        spaced.write_bytes(path.read_bytes().replace(b",", b", ").replace(b"index, score", b"index,score"))
+        header, _, body = path.read_bytes().partition(b"\n")
+        spaced.write_bytes(header + b"\n" + body.replace(b",", b", "))
         calls, fixed_point_rows = [], ingest._fixed_point_rows
 
         def counted(body):
